@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"os"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"nestwrf/internal/experiments"
@@ -23,17 +25,18 @@ func capture(t *testing.T, fn func()) (stdout, stderr string) {
 		t.Fatal(err)
 	}
 	os.Stdout, os.Stderr = wo, we
+	// Drain both pipes while fn runs so output larger than a pipe
+	// buffer cannot block it.
+	var bo, be bytes.Buffer
+	var drained sync.WaitGroup
+	drained.Add(2)
+	go func() { defer drained.Done(); bo.ReadFrom(ro) }()
+	go func() { defer drained.Done(); be.ReadFrom(re) }()
 	fn()
 	wo.Close()
 	we.Close()
 	os.Stdout, os.Stderr = oldOut, oldErr
-	var bo, be bytes.Buffer
-	if _, err := bo.ReadFrom(ro); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := be.ReadFrom(re); err != nil {
-		t.Fatal(err)
-	}
+	drained.Wait()
 	return bo.String(), be.String()
 }
 
@@ -121,4 +124,50 @@ func TestEmitAllContinuesPastFailure(t *testing.T) {
 	if !strings.Contains(errOut, "broken") || !strings.Contains(errOut, "1 of 2 experiments failed") {
 		t.Errorf("failure summary missing:\n%s", errOut)
 	}
+}
+
+// TestAllMarkdownMatchesExperimentsDoc is the golden for the whole
+// evaluation: `-all -md` output from the fig2 section on must equal
+// EXPERIMENTS.md from there on, byte for byte. Every modeled timing
+// (phase costs, link contention, predictor fits, mapping hop metrics)
+// feeds some table, so any drift in the cost model shows up here.
+func TestAllMarkdownMatchesExperimentsDoc(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment suite is slow; skipped with -short")
+	}
+	const marker = "### fig2:"
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := strings.Index(string(doc), marker)
+	if i < 0 {
+		t.Fatalf("EXPERIMENTS.md has no %q section", marker)
+	}
+	want := string(doc[i:])
+
+	out, errOut := capture(t, func() {
+		if code := realMain(false, "", true, true, runtime.GOMAXPROCS(0), "", ""); code != 0 {
+			t.Errorf("exit code = %d", code)
+		}
+	})
+	if errOut != "" {
+		t.Errorf("unexpected stderr:\n%s", errOut)
+	}
+	j := strings.Index(out, marker)
+	if j < 0 {
+		t.Fatalf("-all -md output has no %q section", marker)
+	}
+	got := out[j:]
+	if got == want {
+		return
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for k := 0; k < len(gotLines) && k < len(wantLines); k++ {
+		if gotLines[k] != wantLines[k] {
+			t.Fatalf("output diverges from EXPERIMENTS.md at line %d of the %s section:\n got: %q\nwant: %q",
+				k+1, marker, gotLines[k], wantLines[k])
+		}
+	}
+	t.Fatalf("output has %d lines from %s on, EXPERIMENTS.md has %d", len(gotLines), marker, len(wantLines))
 }

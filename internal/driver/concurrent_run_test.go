@@ -8,23 +8,16 @@ import (
 	"nestwrf/internal/machine"
 	"nestwrf/internal/model"
 	"nestwrf/internal/nest"
-	"nestwrf/internal/netsim"
 )
 
-// TestConcurrentRunWithToggles is the concurrent-server guard for the
-// package-level toggles: many goroutines Run simultaneously while
-// another flips model.SetMemoize and netsim.SetReference. Before the
-// toggles became atomic this was a data race (a server could observe a
-// torn read mid-request); now every Run must complete race-free and —
-// because the fast and reference paths are equivalence-guarded —
-// produce the identical Result regardless of the toggle state it
-// observed. Run under -race in CI.
-func TestConcurrentRunWithToggles(t *testing.T) {
-	defer func() {
-		netsim.SetReference(false)
-		model.SetMemoize(true)
-		model.ResetCache()
-	}()
+// TestConcurrentRunDeterministic is the concurrent-server guard for the
+// modeled path: many goroutines Run the same configuration at once
+// while another keeps dropping the phase-cost memo, so phases are
+// evaluated concurrently on pooled netsim Networks and the memo is
+// filled by racing writers. Every Run must complete race-free and
+// produce the Result of a lone sequential Run. Run under -race in CI.
+func TestConcurrentRunDeterministic(t *testing.T) {
+	defer model.ResetCache()
 
 	cfg := nest.Root("race", 286, 307)
 	cfg.AddChild("s1", 394, 418, 3, 5, 5)
@@ -44,18 +37,15 @@ func TestConcurrentRunWithToggles(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
-	go func() { // toggler: flip both switches while runs are in flight
+	go func() { // resetter: keep the memo cold while runs are in flight
 		defer wg.Done()
-		on := false
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			on = !on
-			netsim.SetReference(on)
-			model.SetMemoize(!on)
+			model.ResetCache()
 		}
 	}()
 	errs := make(chan error, workers*iters)
@@ -82,7 +72,7 @@ func TestConcurrentRunWithToggles(t *testing.T) {
 		case res := <-results:
 			if !reflect.DeepEqual(res, want) {
 				close(stop)
-				t.Fatalf("result drifted under toggle flips:\n got %+v\nwant %+v", res, want)
+				t.Fatalf("concurrent Run drifted:\n got %+v\nwant %+v", res, want)
 			}
 		}
 	}

@@ -1,75 +1,18 @@
 package experiments
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 
 	"nestwrf/internal/alloc"
-	"nestwrf/internal/driver"
 	"nestwrf/internal/machine"
 	"nestwrf/internal/mapping"
-	"nestwrf/internal/model"
-	"nestwrf/internal/netsim"
 )
 
-// renderAll runs every registered experiment sequentially and renders
-// the tables the way cmd/experiments does for a successful -all run.
-func renderAll(t *testing.T) string {
-	t.Helper()
-	var sb strings.Builder
-	for _, o := range RunAll(1) {
-		if o.Err != nil {
-			t.Fatalf("%s: %v", o.Experiment.ID, o.Err)
-		}
-		sb.WriteString(o.Table.String())
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// resetPredictorCache drops fitted predictors so the next run rebuilds
-// them through whichever netsim/model path is active.
-func resetPredictorCache() {
-	driver.ResetPredictorCache()
-}
-
-// TestFastPathOutputByteIdentical is the PR 4 equivalence guard: the
-// dense cached-route netsim plus memoized model.stepCost must render
-// the full experiment suite byte-identically to the retained reference
-// slow path (map-based link loads, no phase-cost memoization).
-func TestFastPathOutputByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment suite is slow; skipped with -short")
-	}
-
-	model.ResetCache()
-	resetPredictorCache()
-	fast := renderAll(t)
-
-	netsim.SetReference(true)
-	model.SetMemoize(false)
-	defer func() {
-		netsim.SetReference(false)
-		model.SetMemoize(true)
-	}()
-	model.ResetCache()
-	resetPredictorCache()
-	ref := renderAll(t)
-
-	if fast != ref {
-		fastLines := strings.Split(fast, "\n")
-		refLines := strings.Split(ref, "\n")
-		for i := 0; i < len(fastLines) && i < len(refLines); i++ {
-			if fastLines[i] != refLines[i] {
-				t.Fatalf("output diverges at line %d:\nfast: %q\nref:  %q", i+1, fastLines[i], refLines[i])
-			}
-		}
-		t.Fatalf("output lengths differ: fast %d lines, reference %d lines", len(fastLines), len(refLines))
-	}
-}
-
-// TestMappingHopMetricsUnchanged pins the mapping-level hop metrics:
-// the torus rework must not perturb Analyze reports in either mode.
+// TestMappingHopMetricsUnchanged pins the mapping-level hop metrics of
+// a two-sibling split of the 256-rank multilevel mapping to the values
+// the experiments report, so a rewrite of mapping.Analyze must keep
+// them bit-identical.
 func TestMappingHopMetricsUnchanged(t *testing.T) {
 	g, err := machine.GridFor(256)
 	if err != nil {
@@ -79,28 +22,25 @@ func TestMappingHopMetricsUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mp, err := mapping.MultiLevel(g, tor)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rects := []alloc.Rect{{X: 0, Y: 0, W: 8, H: 16}, {X: 8, Y: 0, W: 8, H: 16}}
-	build := func() mapping.Report {
-		mp, err := mapping.MultiLevel(g, tor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := mapping.Analyze(mp, rects)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	got, err := mapping.Analyze(mp, rects)
+	if err != nil {
+		t.Fatal(err)
 	}
-	fastRep := build()
-	netsim.SetReference(true)
-	defer netsim.SetReference(false)
-	refRep := build()
-	if fastRep.ParentAvg != refRep.ParentAvg || fastRep.ParentMax != refRep.ParentMax {
-		t.Fatalf("parent hop metrics changed: fast %+v, reference %+v", fastRep, refRep)
+	want := mapping.Report{
+		Name:         "multilevel",
+		ParentAvg:    1.0333333333333334, // 496 hops / 480 pairs
+		ParentMax:    2,
+		SiblingAvg:   []float64{1.0344827586206897, 1.0344827586206897}, // 240 / 232
+		SiblingMax:   []int{2, 2},
+		OverallAvg:   1.0338983050847457,
+		OverallPairs: 944,
 	}
-	for i := range fastRep.SiblingAvg {
-		if fastRep.SiblingAvg[i] != refRep.SiblingAvg[i] || fastRep.SiblingMax[i] != refRep.SiblingMax[i] {
-			t.Fatalf("sibling %d hop metrics changed: fast %+v, reference %+v", i, fastRep, refRep)
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("hop metrics changed:\n got %#v\nwant %#v", got, want)
 	}
 }

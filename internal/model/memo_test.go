@@ -46,12 +46,9 @@ func buildPlacements(t *testing.T) (machine.Machine, *mapping.Mapping, []Placeme
 // settings, including the HopsAvg hop metric.
 func TestMemoizedMatchesUncached(t *testing.T) {
 	m, mp, placements := buildPlacements(t)
-	defer SetMemoize(true)
 
 	for _, contention := range []bool{true, false} {
-		SetMemoize(false)
-		want := phaseCosts(m, mp, placements, contention)
-		SetMemoize(true)
+		want := evalPhase(m, mp, placements, contention)
 		ResetCache()
 		miss := phaseCosts(m, mp, placements, contention) // populates the cache
 		hit := phaseCosts(m, mp, placements, contention)  // must be served from it

@@ -12,7 +12,6 @@ import (
 	"math"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"nestwrf/internal/alloc"
 	"nestwrf/internal/machine"
@@ -106,19 +105,9 @@ func PhaseCostsCongestion(m machine.Machine, mp *mapping.Mapping, placements []P
 // configurations, so this is the model-layer analogue of the
 // experiment harness's shared predictor cache.
 var (
-	// memoizeOff disables the phase-cost cache when set. The inverted
-	// sense keeps the atomic's zero value meaning "memoize on" (the
-	// default); atomicity makes toggling race-free against concurrent
-	// phaseCosts calls, which read the flag exactly once per call.
-	memoizeOff atomic.Bool
 	phaseMu    sync.RWMutex
 	phaseCache = map[string][]StepCost{}
 )
-
-// SetMemoize enables or disables the phase-cost cache. Only tests
-// should call this; both settings produce identical results, so a
-// concurrent simulation observes at worst a cache miss.
-func SetMemoize(on bool) { memoizeOff.Store(!on) }
 
 // ResetCache drops all memoized phase costs.
 func ResetCache() {
@@ -208,19 +197,27 @@ func releaseNet(n *netsim.Network) {
 	}
 }
 
+// phaseCosts is evalPhase behind the phase-cost memo.
 func phaseCosts(m machine.Machine, mp *mapping.Mapping, placements []Placement, contention bool) []StepCost {
-	key, cacheable := "", false
-	if !memoizeOff.Load() {
-		key, cacheable = phaseKey(m, mp, placements, contention)
-		if cacheable {
-			phaseMu.RLock()
-			cached, ok := phaseCache[key]
-			phaseMu.RUnlock()
-			if ok {
-				return cached
-			}
-		}
+	key, cacheable := phaseKey(m, mp, placements, contention)
+	if !cacheable {
+		return evalPhase(m, mp, placements, contention)
 	}
+	phaseMu.RLock()
+	cached, ok := phaseCache[key]
+	phaseMu.RUnlock()
+	if ok {
+		return cached
+	}
+	out := evalPhase(m, mp, placements, contention)
+	phaseMu.Lock()
+	phaseCache[key] = out
+	phaseMu.Unlock()
+	return out
+}
+
+// evalPhase computes the StepCosts of one phase without the memo.
+func evalPhase(m machine.Machine, mp *mapping.Mapping, placements []Placement, contention bool) []StepCost {
 	net := acquireNet(mp.Torus, m.Net)
 	if contention {
 		addPhaseFlows(net, mp, placements)
@@ -230,11 +227,6 @@ func phaseCosts(m machine.Machine, mp *mapping.Mapping, placements []Placement, 
 		out[i] = stepCost(m, mp, net, p)
 	}
 	releaseNet(net)
-	if cacheable {
-		phaseMu.Lock()
-		phaseCache[key] = out
-		phaseMu.Unlock()
-	}
 	return out
 }
 

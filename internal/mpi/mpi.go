@@ -214,6 +214,7 @@ func Run(n int, tm TimeModel, fn func(p *Proc) error) ([]*Proc, error) {
 			defer wg.Done()
 			defer w.rankExit(procs[r])
 			errs[r] = fn(procs[r])
+			procs[r].closePhase()
 		}(r)
 	}
 	wg.Wait()
@@ -264,10 +265,10 @@ type PhaseStats struct {
 	SendCount, RecvCount int
 	SendBytes, RecvBytes int
 	// Wall is real (wall-clock) time the rank spent inside the phase,
-	// accrued at BeginPhase transitions (and finalized by Phases), in
-	// seconds. Unlike the virtual-time fields above it measures the
-	// simulator itself, so phase-level trace spans and reports can show
-	// where real execution time goes.
+	// accrued at BeginPhase transitions and when the rank function
+	// returns, in seconds. Unlike the virtual-time fields above it
+	// measures the simulator itself, so phase-level trace spans and
+	// reports can show where real execution time goes.
 	Wall float64
 }
 
@@ -364,16 +365,21 @@ func (p *Proc) BeginPhase(name string) {
 	p.curAt = now
 }
 
-// Phases returns a copy of the rank's per-phase breakdown in
-// first-BeginPhase order, finalizing the open phase's wall-clock
-// accrual. Call it only after Run returns (or from the rank's own
-// goroutine).
-func (p *Proc) Phases() []Phase {
+// closePhase accrues the open phase's wall time and closes it. Run
+// calls it on the rank's own goroutine when the rank function returns,
+// so the last phase's wall time reaches AggregatePhases.
+func (p *Proc) closePhase() {
 	if p.cur != nil {
-		now := time.Now()
-		p.cur.Wall += now.Sub(p.curAt).Seconds()
-		p.curAt = now
+		p.cur.Wall += time.Since(p.curAt).Seconds()
+		p.cur = nil
 	}
+}
+
+// Phases returns a copy of the rank's per-phase breakdown in
+// first-BeginPhase order. Call it after Run returns: the wall time of
+// the phase still open when the rank function returned is accrued
+// then.
+func (p *Proc) Phases() []Phase {
 	return append([]Phase(nil), p.phases...)
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func tm() AlphaBeta { return AlphaBeta{Alpha: 1e-6, Beta: 1e-9} }
@@ -563,5 +564,32 @@ func TestAggregatePhases(t *testing.T) {
 	}
 	if totals[0].MaxWait != procs[0].WaitTime() {
 		t.Errorf("MaxWait = %v, want rank 0's wait %v", totals[0].MaxWait, procs[0].WaitTime())
+	}
+}
+
+// TestAggregatePhasesLastPhaseWall: the phase still open when the rank
+// function returns must report its wall time too, not just the phases
+// closed by a later BeginPhase, on both runtimes.
+func TestAggregatePhasesLastPhaseWall(t *testing.T) {
+	defer SetReference(false)
+	const ranks, work = 2, 2 * time.Millisecond
+	for _, ref := range []bool{false, true} {
+		SetReference(ref)
+		procs, err := Run(ranks, tm(), func(p *Proc) error {
+			p.BeginPhase("setup")
+			p.BeginPhase("tail")
+			time.Sleep(work)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		totals := AggregatePhases(procs)
+		if len(totals) != 2 || totals[1].Name != "tail" {
+			t.Fatalf("reference=%v: totals = %+v", ref, totals)
+		}
+		if got, min := totals[1].Sum.Wall, ranks*work.Seconds(); got < min {
+			t.Errorf("reference=%v: tail phase wall = %v s, want at least %v s", ref, got, min)
+		}
 	}
 }

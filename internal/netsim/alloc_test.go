@@ -7,9 +7,10 @@ import (
 )
 
 // TestHotPathAllocationFree asserts the netsim inner loops allocate
-// nothing in the steady state (after the first AddFlow per pair has
-// populated the shared route cache). A regression here silently undoes
-// the PR 4 hot-path rework, so it is enforced, not just benchmarked.
+// nothing in the steady state (once the Network's route scratch buffer
+// and touched-links list have grown to size). A regression here
+// silently undoes the dense hot-path design, so it is enforced, not
+// just benchmarked.
 func TestHotPathAllocationFree(t *testing.T) {
 	tor, err := torus.New(8, 8, 8)
 	if err != nil {
@@ -23,7 +24,7 @@ func TestHotPathAllocationFree(t *testing.T) {
 	a := torus.Coord{X: 0, Y: 0, Z: 0}
 	b := torus.Coord{X: 5, Y: 3, Z: 6}
 	c := torus.Coord{X: 2, Y: 7, Z: 1}
-	// Warm the route cache and the touched-links buffer.
+	// Grow the route scratch buffer and the touched-links list.
 	n.AddFlow(a, b)
 	n.AddFlow(b, c)
 	n.AddFlow(c, a)

@@ -8,27 +8,93 @@ import (
 	"nestwrf/internal/torus"
 )
 
-// newPair builds a fast-path and a reference-path Network over the same
-// torus and parameters.
-func newPair(t *testing.T, tor torus.Torus, p Params) (fast, ref *Network) {
-	t.Helper()
-	fast, err := New(tor, p)
-	if err != nil {
-		t.Fatal(err)
+// refNetwork is the map-based oracle for Network: link loads keyed by
+// torus.Link and every route built from scratch with torus.Route. It is
+// the original implementation, kept here so the dense production path
+// is checked against an independent one.
+type refNetwork struct {
+	tor  torus.Torus
+	p    Params
+	load map[torus.Link]int
+}
+
+func newRef(tor torus.Torus, p Params) *refNetwork {
+	return &refNetwork{tor: tor, p: p, load: map[torus.Link]int{}}
+}
+
+func (n *refNetwork) Reset() { n.load = map[torus.Link]int{} }
+
+func (n *refNetwork) AddFlows(pairs [][2]torus.Coord) {
+	for _, pr := range pairs {
+		for _, l := range n.tor.Route(pr[0], pr[1]) {
+			n.load[l]++
+		}
+		for _, l := range n.tor.Route(pr[1], pr[0]) {
+			n.load[l]++
+		}
 	}
-	SetReference(true)
-	defer SetReference(false)
-	ref, err = New(tor, p)
-	if err != nil {
-		t.Fatal(err)
+}
+
+func (n *refNetwork) PathLoad(a, b torus.Coord) int {
+	max := 0
+	for _, l := range n.tor.Route(a, b) {
+		c := n.load[l]
+		if c == 0 {
+			c = 1 // count the message under consideration
+		}
+		if c > max {
+			max = c
+		}
 	}
-	return fast, ref
+	return max
+}
+
+func (n *refNetwork) MaxLinkLoad() int { return n.Stats().MaxLoad }
+
+func (n *refNetwork) TotalHops() int { return n.Stats().TotalHops }
+
+func (n *refNetwork) Stats() Congestion {
+	c := Congestion{Links: len(n.load)}
+	counts := map[int]int{}
+	for _, load := range n.load {
+		c.TotalHops += load
+		if load > c.MaxLoad {
+			c.MaxLoad = load
+		}
+		counts[load]++
+	}
+	for load := 1; load <= c.MaxLoad; load++ {
+		if counts[load] > 0 {
+			c.Histogram = append(c.Histogram, LoadBucket{Load: load, Links: counts[load]})
+		}
+	}
+	return c
+}
+
+func (n *refNetwork) TransferTime(a, b torus.Coord, bytes int) float64 {
+	hops := n.tor.Hops(a, b)
+	if hops == 0 {
+		return n.p.Overhead
+	}
+	return n.p.Overhead +
+		float64(hops)*n.p.LatencyPerHop +
+		float64(bytes)*float64(n.PathLoad(a, b))/n.p.Bandwidth
+}
+
+func (n *refNetwork) UncontendedTime(a, b torus.Coord, bytes int) float64 {
+	hops := n.tor.Hops(a, b)
+	if hops == 0 {
+		return n.p.Overhead
+	}
+	return n.p.Overhead +
+		float64(hops)*n.p.LatencyPerHop +
+		float64(bytes)/n.p.Bandwidth
 }
 
 // TestDenseMatchesReference drives random flow patterns through the
-// dense fast path and the retained map-based reference path and
-// asserts every observable — path loads, transfer times, congestion
-// stats — is identical, including across Reset.
+// dense Network and the map-based refNetwork oracle and asserts every
+// observable — path loads, transfer times, congestion stats — is
+// identical, including across Reset.
 func TestDenseMatchesReference(t *testing.T) {
 	p := Params{LatencyPerHop: 9e-7, Overhead: 8e-4, Bandwidth: 175e6}
 	rng := rand.New(rand.NewSource(7))
@@ -37,7 +103,11 @@ func TestDenseMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, ref := newPair(t, tor, p)
+		fast, err := New(tor, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRef(tor, p)
 		randCoord := func() torus.Coord {
 			return torus.Coord{X: rng.Intn(tor.X), Y: rng.Intn(tor.Y), Z: rng.Intn(tor.Z)}
 		}

@@ -10,21 +10,17 @@
 //
 // Hot-path engineering (DESIGN.md Section 8): link loads live in a
 // dense []int32 indexed by torus.LinkIndex rather than a map keyed by
-// Link structs, routes are resolved through a per-torus cache shared
-// by all Networks (halo pairs repeat across phases, steps and sweep
-// configurations), and Reset clears only the links touched since the
-// previous phase. AddFlow, PathLoad and TransferTime are
-// allocation-free in the steady state. A map-based reference
-// implementation is retained behind an unexported switch so the
-// equivalence tests can mechanically compare the two paths.
+// Link structs, each route is computed when it is needed into a
+// per-Network scratch buffer (XYZ routes are pure arithmetic, so the
+// package keeps no route state between Networks), and Reset clears
+// only the links touched since the previous phase. AddFlow, PathLoad
+// and TransferTime are allocation-free in the steady state.
 package netsim
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"nestwrf/internal/torus"
 )
@@ -51,78 +47,19 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// reference switches newly constructed Networks onto the original
-// map-based load accounting and per-call route construction. It exists
-// solely for the equivalence tests, which assert the dense fast path
-// produces byte-identical results. The flag is atomic so a toggle is
-// race-free against concurrent Network construction (each Network
-// commits to one path at New and never re-reads the flag).
-var reference atomic.Bool
-
-// SetReference selects the retained slow path (true) or the dense fast
-// path (false, the default) for Networks constructed after the call.
-// Only tests should call this.
-func SetReference(on bool) { reference.Store(on) }
-
-// routeCache memoizes dimension-ordered routes (as dense link indices)
-// per source/destination node pair of one torus shape. Halo pairs
-// repeat across phases, steps and sweep configurations, so the cache
-// is shared by every Network over the same torus and guarded for the
-// experiment harness's parallel runs.
-type routeCache struct {
-	mu sync.RWMutex
-	m  map[int64][]torus.LinkIndex
-}
-
-// routeCaches maps torus.Torus (comparable) -> *routeCache.
-var routeCaches sync.Map
-
-func cacheFor(t torus.Torus) *routeCache {
-	if c, ok := routeCaches.Load(t); ok {
-		return c.(*routeCache)
-	}
-	c, _ := routeCaches.LoadOrStore(t, &routeCache{m: make(map[int64][]torus.LinkIndex)})
-	return c.(*routeCache)
-}
-
-// route returns the cached dense-index route from a to b, computing
-// and caching it on first use. The returned slice is shared and must
-// not be mutated. len(route) equals the hop count.
-func (c *routeCache) route(t torus.Torus, a, b torus.Coord) []torus.LinkIndex {
-	key := int64(t.Index(a))<<32 | int64(t.Index(b))
-	c.mu.RLock()
-	r, ok := c.m[key]
-	c.mu.RUnlock()
-	if ok {
-		return r
-	}
-	r = t.RouteIndicesInto(a, b, make([]torus.LinkIndex, 0, t.Hops(a, b)))
-	c.mu.Lock()
-	if prev, ok := c.m[key]; ok {
-		r = prev // another goroutine won the race; keep its slice
-	} else {
-		c.m[key] = r
-	}
-	c.mu.Unlock()
-	return r
-}
-
 // Network accumulates per-link loads for a communication phase and
-// computes message transfer times under the resulting contention.
+// computes message transfer times under the resulting contention. A
+// Network is not safe for concurrent use.
 type Network struct {
 	Torus  torus.Torus
 	Params Params
 
-	// Fast path: dense per-link loads indexed by torus.LinkIndex, the
-	// unique list of touched (load > 0) links for O(touched) Reset and
-	// stats, and the shared per-torus route cache.
+	// load holds the per-link loads indexed by torus.LinkIndex, and
+	// touched lists the links with load > 0 for O(touched) Reset and
+	// stats. route is scratch space for the route being walked.
 	load    []int32
 	touched []torus.LinkIndex
-	routes  *routeCache
-
-	// Reference path (enabled by SetReference): the original map-based
-	// accounting.
-	refLoad map[torus.Link]int
+	route   []torus.LinkIndex
 }
 
 // New returns a Network for the given torus and parameters.
@@ -130,23 +67,20 @@ func New(t torus.Torus, p Params) (*Network, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{Torus: t, Params: p}
-	if reference.Load() {
-		n.refLoad = make(map[torus.Link]int)
-		return n, nil
-	}
-	n.load = make([]int32, t.LinkIndexCount())
-	n.routes = cacheFor(t)
-	return n, nil
+	return &Network{Torus: t, Params: p, load: make([]int32, t.LinkIndexCount())}, nil
+}
+
+// routeTo returns the dense-index dimension-ordered route from a to b.
+// The slice is n's scratch buffer, valid until the next call;
+// len(route) equals the hop count.
+func (n *Network) routeTo(a, b torus.Coord) []torus.LinkIndex {
+	n.route = n.Torus.RouteIndicesInto(a, b, n.route[:0])
+	return n.route
 }
 
 // Reset clears the accumulated link loads, starting a new phase. Only
 // links touched since the previous Reset are cleared.
 func (n *Network) Reset() {
-	if n.refLoad != nil {
-		n.refLoad = make(map[torus.Link]int)
-		return
-	}
 	for _, li := range n.touched {
 		n.load[li] = 0
 	}
@@ -157,13 +91,7 @@ func (n *Network) Reset() {
 // loading every directed link along its dimension-ordered route.
 // Self-messages add no load.
 func (n *Network) AddFlow(a, b torus.Coord) {
-	if n.refLoad != nil {
-		for _, l := range n.Torus.Route(a, b) {
-			n.refLoad[l]++
-		}
-		return
-	}
-	for _, li := range n.routes.route(n.Torus, a, b) {
+	for _, li := range n.routeTo(a, b) {
 		if n.load[li] == 0 {
 			n.touched = append(n.touched, li)
 		}
@@ -186,19 +114,7 @@ func (n *Network) AddFlows(pairs [][2]torus.Coord) {
 // and 0 for a == b.
 func (n *Network) PathLoad(a, b torus.Coord) int {
 	max := 0
-	if n.refLoad != nil {
-		for _, l := range n.Torus.Route(a, b) {
-			c := n.refLoad[l]
-			if c == 0 {
-				c = 1 // count the message under consideration
-			}
-			if c > max {
-				max = c
-			}
-		}
-		return max
-	}
-	for _, li := range n.routes.route(n.Torus, a, b) {
+	for _, li := range n.routeTo(a, b) {
 		c := int(n.load[li])
 		if c == 0 {
 			c = 1 // count the message under consideration
@@ -214,14 +130,6 @@ func (n *Network) PathLoad(a, b torus.Coord) int {
 // phase.
 func (n *Network) MaxLinkLoad() int {
 	max := 0
-	if n.refLoad != nil {
-		for _, c := range n.refLoad {
-			if c > max {
-				max = c
-			}
-		}
-		return max
-	}
 	for _, li := range n.touched {
 		if c := int(n.load[li]); c > max {
 			max = c
@@ -235,12 +143,6 @@ func (n *Network) MaxLinkLoad() int {
 // paper's Section 2.3 (with unit message size).
 func (n *Network) TotalHops() int {
 	sum := 0
-	if n.refLoad != nil {
-		for _, c := range n.refLoad {
-			sum += c
-		}
-		return sum
-	}
 	for _, li := range n.touched {
 		sum += int(n.load[li])
 	}
@@ -274,25 +176,14 @@ type Congestion struct {
 func (n *Network) Stats() Congestion {
 	var c Congestion
 	counts := map[int]int{}
-	if n.refLoad != nil {
-		c.Links = len(n.refLoad)
-		for _, load := range n.refLoad {
-			c.TotalHops += load
-			if load > c.MaxLoad {
-				c.MaxLoad = load
-			}
-			counts[load]++
+	c.Links = len(n.touched)
+	for _, li := range n.touched {
+		load := int(n.load[li])
+		c.TotalHops += load
+		if load > c.MaxLoad {
+			c.MaxLoad = load
 		}
-	} else {
-		c.Links = len(n.touched)
-		for _, li := range n.touched {
-			load := int(n.load[li])
-			c.TotalHops += load
-			if load > c.MaxLoad {
-				c.MaxLoad = load
-			}
-			counts[load]++
-		}
+		counts[load]++
 	}
 	loads := make([]int, 0, len(counts))
 	for l := range counts {
@@ -312,20 +203,7 @@ func (n *Network) Stats() Congestion {
 //
 // A self-message costs only the software overhead.
 func (n *Network) TransferTime(a, b torus.Coord, bytes int) float64 {
-	if n.refLoad != nil {
-		hops := n.Torus.Hops(a, b)
-		if hops == 0 {
-			return n.Params.Overhead
-		}
-		kappa := float64(n.PathLoad(a, b))
-		if kappa < 1 {
-			kappa = 1
-		}
-		return n.Params.Overhead +
-			float64(hops)*n.Params.LatencyPerHop +
-			float64(bytes)*kappa/n.Params.Bandwidth
-	}
-	route := n.routes.route(n.Torus, a, b)
+	route := n.routeTo(a, b)
 	if len(route) == 0 {
 		return n.Params.Overhead
 	}

@@ -25,9 +25,9 @@ func TestLinkIndexRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRouteVariantsAgree checks that Route, RouteInto, RouteFunc and
-// RouteIndicesInto produce the same link sequence for random pairs, and
-// that the route length always equals the hop distance.
+// TestRouteVariantsAgree checks that Route and RouteIndicesInto
+// produce the same link sequence for random pairs, and that the route
+// length always equals the hop distance.
 func TestRouteVariantsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, dims := range [][3]int{{1, 1, 1}, {2, 2, 2}, {4, 2, 4}, {8, 8, 8}, {3, 5, 7}, {1, 6, 2}} {
@@ -35,7 +35,6 @@ func TestRouteVariantsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		linkBuf := make([]Link, 0, 32)
 		idxBuf := make([]LinkIndex, 0, 32)
 		for trial := 0; trial < 200; trial++ {
 			a := Coord{rng.Intn(tor.X), rng.Intn(tor.Y), rng.Intn(tor.Z)}
@@ -44,23 +43,11 @@ func TestRouteVariantsAgree(t *testing.T) {
 			if len(route) != tor.Hops(a, b) {
 				t.Fatalf("%v: Route(%v,%v) has %d links, Hops = %d", dims, a, b, len(route), tor.Hops(a, b))
 			}
-			into := tor.RouteInto(a, b, linkBuf[:0])
-			if len(into) != len(route) {
-				t.Fatalf("%v: RouteInto length %d != Route length %d", dims, len(into), len(route))
-			}
-			var viaFunc []Link
-			tor.RouteFunc(a, b, func(l Link) { viaFunc = append(viaFunc, l) })
 			idx := tor.RouteIndicesInto(a, b, idxBuf[:0])
 			if len(idx) != len(route) {
 				t.Fatalf("%v: RouteIndicesInto length %d != Route length %d", dims, len(idx), len(route))
 			}
 			for i := range route {
-				if into[i] != route[i] {
-					t.Fatalf("%v: RouteInto[%d] = %v, Route[%d] = %v", dims, i, into[i], i, route[i])
-				}
-				if viaFunc[i] != route[i] {
-					t.Fatalf("%v: RouteFunc[%d] = %v, Route[%d] = %v", dims, i, viaFunc[i], i, route[i])
-				}
 				if got := tor.LinkAt(idx[i]); got != route[i] {
 					t.Fatalf("%v: LinkAt(RouteIndices[%d]) = %v, Route[%d] = %v", dims, i, got, i, route[i])
 				}
@@ -77,7 +64,7 @@ func TestRouteSelfEmpty(t *testing.T) {
 	if r := tor.Route(c, c); r != nil {
 		t.Fatalf("Route(c,c) = %v, want nil", r)
 	}
-	if r := tor.RouteInto(c, c, nil); len(r) != 0 {
-		t.Fatalf("RouteInto(c,c,nil) = %v, want empty", r)
+	if r := tor.RouteIndicesInto(c, c, nil); len(r) != 0 {
+		t.Fatalf("RouteIndicesInto(c,c,nil) = %v, want empty", r)
 	}
 }

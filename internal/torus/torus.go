@@ -124,13 +124,7 @@ func (t Torus) Route(a, b Coord) []Link {
 	if n == 0 {
 		return nil
 	}
-	return t.RouteInto(a, b, make([]Link, 0, n))
-}
-
-// RouteInto appends the dimension-ordered route from a to b onto buf
-// and returns the extended slice, allowing callers to reuse a route
-// buffer across messages instead of allocating per call.
-func (t Torus) RouteInto(a, b Coord, buf []Link) []Link {
+	buf := make([]Link, 0, n)
 	cur := a
 	for dim := DimX; dim <= DimZ; dim++ {
 		pos, target, size := routeAxis(cur, b, t, dim)
@@ -146,25 +140,6 @@ func (t Torus) RouteInto(a, b Coord, buf []Link) []Link {
 		}
 	}
 	return buf
-}
-
-// RouteFunc calls fn for every directed link of the dimension-ordered
-// route from a to b, in order, without allocating.
-func (t Torus) RouteFunc(a, b Coord, fn func(Link)) {
-	cur := a
-	for dim := DimX; dim <= DimZ; dim++ {
-		pos, target, size := routeAxis(cur, b, t, dim)
-		delta := wrapDelta(pos, target, size)
-		dir := int8(1)
-		if delta < 0 {
-			dir = -1
-			delta = -delta
-		}
-		for i := 0; i < delta; i++ {
-			fn(Link{From: cur, Dim: dim, Dir: dir})
-			cur = t.Neighbor(cur, dim, dir)
-		}
-	}
 }
 
 // routeAxis extracts the current position, target position and ring
@@ -213,8 +188,8 @@ func (t Torus) LinkAt(i LinkIndex) Link {
 
 // RouteIndicesInto appends the dense link indices of the
 // dimension-ordered route from a to b onto buf and returns the
-// extended slice. It is the allocation-free workhorse of the network
-// simulator's route cache.
+// extended slice. The network simulator routes every message through
+// it, reusing one buffer, so routing allocates nothing.
 func (t Torus) RouteIndicesInto(a, b Coord, buf []LinkIndex) []LinkIndex {
 	cur := a
 	curIdx := t.Index(cur)

@@ -279,6 +279,11 @@ func TestPhaseBreakdownPopulated(t *testing.T) {
 	if byName["parent"].Sum.Compute <= 0 || byName["parent"].Sum.SendCount == 0 {
 		t.Errorf("parent phase looks empty: %+v", byName["parent"])
 	}
+	// collect is the phase open when the rank function returns; its
+	// wall time must still be accounted.
+	if byName["collect"].Sum.Wall <= 0 {
+		t.Errorf("collect phase wall = %v, want > 0", byName["collect"].Sum.Wall)
+	}
 	// Every rank must have entered the parent phase.
 	if byName["parent"].Ranks != 32 {
 		t.Errorf("parent phase ranks = %d, want 32", byName["parent"].Ranks)
