@@ -146,22 +146,18 @@ func coldPlanJobs() []driver.PlanJob {
 
 // BenchmarkColdPlan measures the cold-planning path — a batch of 32
 // distinct multi-sibling plans, as an ensemble generation or a churn
-// of new regions of interest produces — under the retained sequential
-// reference and the parallel builder. The model-layer phase cache is
-// dropped every iteration so each batch genuinely replans; the
-// machine's predictor is trained once up front (both modes share the
-// singleflighted predictor cache, and training time is not what this
-// benchmark tracks). The parallel/sequential ratio is the PR's
-// headline: parallel must be at least 2x faster on multi-core hosts.
+// of new regions of interest produces — through BuildPlans with one
+// batch worker and with GOMAXPROCS workers. Either way each plan fans
+// its own mapping analyses and cost run over the shared worker pool.
+// The model-layer phase cache is dropped every iteration so each batch
+// genuinely replans; the machine's predictor is trained once up front
+// (training time is not what this benchmark tracks).
 func BenchmarkColdPlan(b *testing.B) {
 	jobs := coldPlanJobs()
 	if _, err := driver.CachedPredictor(nestwrf.BlueGeneL()); err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, reference bool, workers int) {
-		driver.SetReference(reference)
-		defer driver.SetReference(false)
-		b.ResetTimer()
+	run := func(b *testing.B, workers int) {
 		for i := 0; i < b.N; i++ {
 			model.ResetCache()
 			plans, errs := driver.BuildPlans(jobs, workers)
@@ -175,8 +171,8 @@ func BenchmarkColdPlan(b *testing.B) {
 			}
 		}
 	}
-	b.Run("sequential", func(b *testing.B) { run(b, true, 1) })
-	b.Run("parallel", func(b *testing.B) { run(b, false, runtime.GOMAXPROCS(0)) })
+	b.Run("workers=1", func(b *testing.B) { run(b, 1) })
+	b.Run("workers=GOMAXPROCS", func(b *testing.B) { run(b, runtime.GOMAXPROCS(0)) })
 }
 
 // BenchmarkSimulate measures one virtual-time iteration at several

@@ -120,8 +120,8 @@ func CachedPredictor(m machine.Machine) (*predict.Model, error) {
 }
 
 // ResetPredictorCache drops all cached predictors, forcing the next
-// CachedPredictor call to retrain. Only tests use this, to rebuild
-// predictors through whichever reference/fast path is active.
+// CachedPredictor call to retrain. Tests and benchmarks use it to start
+// from a cold cache.
 func ResetPredictorCache() {
 	predMu.Lock()
 	predCache = map[string]*predEntry{}
@@ -183,41 +183,14 @@ func BuildPlan(cfg *nest.Domain, opt Options) (*Plan, error) {
 		{MapPartition, func() (*mapping.Mapping, error) { return mapping.PartitionMapping(g, tor, plan.Rects) }},
 		{MapMultiLevel, func() (*mapping.Mapping, error) { return mapping.MultiLevel(g, tor) }},
 	}
-	if reference.Load() {
-		// Retained sequential reference: builders in order, then the
-		// cost run.
-		for _, b := range builders {
-			mp, err := b.build()
-			if err != nil {
-				continue
-			}
-			rep, err := mapping.Analyze(mp, plan.Rects)
-			if err != nil {
-				return nil, err
-			}
-			plan.Mapping[b.kind.String()] = MappingQuality{
-				ParentAvgHops:  rep.ParentAvg,
-				SiblingAvgHops: rep.SiblingAvg,
-				OverallAvgHops: rep.OverallAvg,
-			}
-		}
-		runOpt := opt
-		runOpt.Predictor = r.pred
-		plan.Cost, err = Run(cfg, runOpt)
-		if err != nil {
-			return nil, err
-		}
-		return plan, nil
-	}
-
-	// Fast cold path: the four mapping build+analyze units and the cost
-	// run are independent once weights and partitions exist, so they fan
-	// over spare worker-pool slots; the merge below visits slots in
-	// builder order, so output and first-error choice match the
-	// sequential reference byte for byte. The cost run itself may fan
-	// sibling subtrees (Options.Parallel); its result is journal-merged
-	// to the identical bits. Phase costs stay memoized across plans, so
-	// repeated BuildPlan calls on warm caches remain cheap either way.
+	// The four mapping build+analyze units and the cost run are
+	// independent once weights and partitions exist, so they fan over
+	// spare worker-pool slots; the merge below visits slots in builder
+	// order, so output and first-error choice match a sequential loop
+	// byte for byte. The cost run itself may fan sibling subtrees
+	// (Options.Parallel); its result is journal-merged to the identical
+	// bits. Phase costs stay memoized across plans, so repeated
+	// BuildPlan calls on warm caches remain cheap.
 	type mapOut struct {
 		ok  bool
 		q   MappingQuality
@@ -236,7 +209,7 @@ func BuildPlan(cfg *nest.Domain, opt Options) (*Plan, error) {
 		}
 		mp, err := builders[i].build()
 		if err != nil {
-			return // infeasible kind: absent, as in the sequential skip
+			return // infeasible kind: absent from the report
 		}
 		rep, err := mapping.Analyze(mp, plan.Rects)
 		if err != nil {

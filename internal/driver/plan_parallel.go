@@ -11,18 +11,6 @@ import (
 	"nestwrf/internal/vtopo"
 )
 
-// reference forces the fully sequential planning path when set: BuildPlan
-// evaluates its mapping analyses and cost run one after the other, and
-// Run never fans sibling subtrees, regardless of Options.Parallel. The
-// sequential path is retained as the byte-identity oracle for the
-// parallel one (same pattern as netsim/model/solver/wrfsim/mpi).
-var reference atomic.Bool
-
-// SetReference toggles the retained sequential planning path. Safe to
-// flip concurrently with in-flight plans: both paths produce identical
-// bytes, so a mid-flight flip only changes who computes them.
-func SetReference(on bool) { reference.Store(on) }
-
 // planPool bounds the goroutines that all parallel planning work in the
 // process — intra-plan fan-out and per-sibling subtree evaluation — may
 // add beyond their callers. BuildPlans batches bound their own cross-job
@@ -89,10 +77,9 @@ func (r *run) replay(ops []acctOp) {
 // fanSiblings reports whether n sibling subtree evaluations may run on
 // journaling clones in parallel. Reports and recording tracers need the
 // true sequential interleaving (per-phase congestion capture, span
-// ordering), so either disables the fan; so does the reference toggle.
+// ordering), so either disables the fan.
 func (r *run) fanSiblings(n int) bool {
-	return n > 1 && r.opt.Parallel && r.rep == nil &&
-		!r.opt.Tracer.Recording() && !reference.Load()
+	return n > 1 && r.opt.Parallel && r.rep == nil && !r.opt.Tracer.Recording()
 }
 
 // siblingEval carries one fanned sibling-subtree evaluation back to the
@@ -116,9 +103,7 @@ type PlanJob struct {
 // each distinct machine's predictor is resolved once up front so a
 // cold batch shares one training per machine. Outputs keep input order:
 // plans[i] and errs[i] belong to jobs[i], and each plan is byte-
-// identical to what BuildPlan(jobs[i]...) returns on its own. Under
-// SetReference(true) the jobs run sequentially through the retained
-// reference path.
+// identical to what BuildPlan(jobs[i]...) returns on its own.
 func BuildPlans(jobs []PlanJob, workers int) ([]*Plan, []error) {
 	plans := make([]*Plan, len(jobs))
 	errs := make([]error, len(jobs))
@@ -151,12 +136,6 @@ func BuildPlans(jobs []PlanJob, workers int) ([]*Plan, []error) {
 			}
 		}
 		plans[i], errs[i] = BuildPlan(jobs[i].Config, opt)
-	}
-	if reference.Load() {
-		for i := range jobs {
-			build(i)
-		}
-		return plans, errs
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -2,13 +2,12 @@ package driver
 
 import (
 	"encoding/json"
-	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
 	"nestwrf/internal/machine"
-	"nestwrf/internal/model"
+	"nestwrf/internal/mapping"
 	"nestwrf/internal/nest"
 )
 
@@ -26,46 +25,62 @@ func parallelOracleDomain() *nest.Domain {
 	return cfg
 }
 
-// TestBuildPlanParallelMatchesReference is the acceptance oracle: for
-// every strategy x alloc-policy x map-kind combination, the parallel
-// BuildPlan must produce a Plan byte-identical (and DeepEqual) to the
-// retained sequential reference.
+// TestBuildPlanParallelMatchesReference recomputes, sequentially and on
+// the test side, every part of each oracle-grid plan that BuildPlan fans
+// out: mapping.Analyze for every feasible kind in builder order, and the
+// cost run with Options.Parallel off. Both must DeepEqual what the
+// fan-out merged. (Weights and partitions are never fanned.)
 func TestBuildPlanParallelMatchesReference(t *testing.T) {
-	defer SetReference(false)
 	cfg := parallelOracleDomain()
-	for _, strat := range []Strategy{Sequential, Concurrent} {
-		for _, pol := range []AllocPolicy{AllocPredicted, AllocNaivePoints, AllocEqual, AllocStripsPredicted} {
-			for _, kind := range []MapKind{MapSequential, MapTXYZ, MapPartition, MapMultiLevel} {
-				opt := Options{
-					Machine: machine.BGL(), Ranks: 64,
-					Strategy: strat, Alloc: pol, MapKind: kind,
-					IOMode: 1, OutputEverySteps: 4,
-				}
-				name := fmt.Sprintf("%v/%v/%v", strat, pol, kind)
-				SetReference(true)
-				model.ResetCache()
-				want, wantErr := BuildPlan(cfg, opt)
-				SetReference(false)
-				model.ResetCache()
-				got, gotErr := BuildPlan(cfg, opt)
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("%s: reference err %v, parallel err %v", name, wantErr, gotErr)
-				}
-				if wantErr != nil {
-					continue
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s: parallel plan differs from reference", name)
-					continue
-				}
-				wb, _ := json.Marshal(want)
-				gb, _ := json.Marshal(got)
-				if string(wb) != string(gb) {
-					t.Errorf("%s: plan bytes differ:\nref: %s\npar: %s", name, wb, gb)
-				}
+	forEachOracleCombo(func(name string, opt Options) {
+		plan, err := BuildPlan(cfg, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		g, err := machine.GridFor(opt.Ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tor, err := machine.TorusFor(opt.Ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		builders := []struct {
+			kind  MapKind
+			build func() (*mapping.Mapping, error)
+		}{
+			{MapSequential, func() (*mapping.Mapping, error) { return mapping.Sequential(g, tor) }},
+			{MapTXYZ, func() (*mapping.Mapping, error) { return mapping.TXYZ(g, tor, opt.Machine.CoresPerNode) }},
+			{MapPartition, func() (*mapping.Mapping, error) { return mapping.PartitionMapping(g, tor, plan.Rects) }},
+			{MapMultiLevel, func() (*mapping.Mapping, error) { return mapping.MultiLevel(g, tor) }},
+		}
+		want := map[string]MappingQuality{}
+		for _, b := range builders {
+			mp, err := b.build()
+			if err != nil {
+				continue
+			}
+			rep, err := mapping.Analyze(mp, plan.Rects)
+			if err != nil {
+				t.Fatalf("%s: analyze %v: %v", name, b.kind, err)
+			}
+			want[b.kind.String()] = MappingQuality{
+				ParentAvgHops:  rep.ParentAvg,
+				SiblingAvgHops: rep.SiblingAvg,
+				OverallAvgHops: rep.OverallAvg,
 			}
 		}
-	}
+		if !reflect.DeepEqual(want, plan.Mapping) {
+			t.Errorf("%s: mapping report differs from sequential analysis:\nwant %+v\ngot  %+v", name, want, plan.Mapping)
+		}
+		cost, err := Run(cfg, opt)
+		if err != nil {
+			t.Fatalf("%s: sequential cost run: %v", name, err)
+		}
+		if !reflect.DeepEqual(cost, plan.Cost) {
+			t.Errorf("%s: plan cost differs from sequential Run:\nwant %+v\ngot  %+v", name, cost, plan.Cost)
+		}
+	})
 }
 
 // TestRunParallelSiblingsIdentity checks the journal-replay merge at
@@ -97,10 +112,9 @@ func TestRunParallelSiblingsIdentity(t *testing.T) {
 }
 
 // TestBuildPlansMatchesReference: a batch through BuildPlans must equal
-// a per-job sequential-reference loop, job for job, with errors (here a
+// a plain per-job BuildPlan loop, job for job, with errors (here a
 // zero-rank job in the middle) surfacing in the matching slot.
 func TestBuildPlansMatchesReference(t *testing.T) {
-	defer SetReference(false)
 	var jobs []PlanJob
 	for i := 0; i < 6; i++ {
 		cfg := nest.Root("p", 286, 307)
@@ -113,17 +127,15 @@ func TestBuildPlansMatchesReference(t *testing.T) {
 	}
 	jobs[3].Options.Ranks = 0 // must fail in place without harming neighbours
 
-	SetReference(true)
 	want := make([]*Plan, len(jobs))
 	wantErr := make([]error, len(jobs))
 	for i, j := range jobs {
 		want[i], wantErr[i] = BuildPlan(j.Config, j.Options)
 	}
-	SetReference(false)
 	got, gotErr := BuildPlans(jobs, 4)
 	for i := range jobs {
 		if (wantErr[i] == nil) != (gotErr[i] == nil) {
-			t.Fatalf("job %d: reference err %v, batch err %v", i, wantErr[i], gotErr[i])
+			t.Fatalf("job %d: BuildPlan err %v, batch err %v", i, wantErr[i], gotErr[i])
 		}
 		if wantErr[i] != nil {
 			continue
@@ -131,7 +143,7 @@ func TestBuildPlansMatchesReference(t *testing.T) {
 		wb, _ := json.Marshal(want[i])
 		gb, _ := json.Marshal(got[i])
 		if string(wb) != string(gb) {
-			t.Errorf("job %d: batch plan differs from reference", i)
+			t.Errorf("job %d: batch plan differs from BuildPlan", i)
 		}
 	}
 	if gotErr[3] == nil {
@@ -175,12 +187,11 @@ func TestCachedPredictorTrainsOnce(t *testing.T) {
 	}
 }
 
-// TestConcurrentBuildPlansWithReferenceToggle flips the reference
-// toggle while batches are in flight: every plan must still come out
-// byte-identical, whichever path a flip lands it on. Run under -race
-// in CI.
-func TestConcurrentBuildPlansWithReferenceToggle(t *testing.T) {
-	defer SetReference(false)
+// TestConcurrentBuildPlansDeterministic runs batches from several
+// goroutines at once, so their intra-plan fan-outs contend for the
+// shared worker pool: every plan must come out byte-identical to a lone
+// BuildPlan. Run under -race in CI.
+func TestConcurrentBuildPlansDeterministic(t *testing.T) {
 	cfg := parallelOracleDomain()
 	opt := Options{Machine: machine.BGL(), Ranks: 64, Strategy: Concurrent, MapKind: MapMultiLevel}
 	want, err := BuildPlan(cfg, opt)
@@ -189,22 +200,6 @@ func TestConcurrentBuildPlansWithReferenceToggle(t *testing.T) {
 	}
 	wb, _ := json.Marshal(want)
 
-	stop := make(chan struct{})
-	var toggler sync.WaitGroup
-	toggler.Add(1)
-	go func() {
-		defer toggler.Done()
-		on := false
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			on = !on
-			SetReference(on)
-		}
-	}()
 	const workers, iters = 4, 4
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -219,13 +214,11 @@ func TestConcurrentBuildPlansWithReferenceToggle(t *testing.T) {
 				}
 				gb, _ := json.Marshal(plans[0])
 				if string(gb) != string(wb) {
-					t.Errorf("worker %d: plan drifted under toggle flips", w)
+					t.Errorf("worker %d: concurrent plan differs from a lone BuildPlan", w)
 					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	close(stop)
-	toggler.Wait()
 }

@@ -126,11 +126,13 @@ func Decode(r io.Reader) (Snapshot, error) {
 	if nx == 0 || ny == 0 || uint64(nx)*uint64(ny) > 1<<28 {
 		return s, fmt.Errorf("%w: dims %dx%d", ErrCorrupt, nx, ny)
 	}
-	st := solver.NewState(int(nx), int(ny))
-	for _, field := range [][]float64{st.H, st.HU, st.HV} {
-		if err := binary.Read(tr, binary.LittleEndian, field); err != nil {
+	st := &solver.State{NX: int(nx), NY: int(ny)}
+	for _, field := range []*[]float64{&st.H, &st.HU, &st.HV} {
+		f, err := readFloats(tr, int(nx)*int(ny))
+		if err != nil {
 			return s, err
 		}
+		*field = f
 	}
 	want := crc.Sum32()
 	var got uint32
@@ -142,6 +144,29 @@ func Decode(r io.Reader) (Snapshot, error) {
 	}
 	s.State = st
 	return s, nil
+}
+
+// readFloats reads n little-endian float64s in bounded chunks, growing
+// the result only as data arrives, so a corrupt header claiming huge
+// dimensions cannot force a huge allocation before the input runs out.
+// Errors follow binary.Read: io.EOF only if nothing was read.
+func readFloats(r io.Reader, n int) ([]float64, error) {
+	const chunk = 1 << 13
+	out := make([]float64, 0, min(n, chunk))
+	buf := make([]byte, 8*min(n, chunk))
+	for len(out) < n {
+		b := buf[:8*min(n-len(out), chunk)]
+		if _, err := io.ReadFull(r, b); err != nil {
+			if err == io.EOF && len(out) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		for i := 0; i < len(b); i += 8 {
+			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(b[i:])))
+		}
+	}
+	return out, nil
 }
 
 // EncodeSeries writes multiple snapshots back to back.

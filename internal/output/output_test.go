@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -93,6 +94,29 @@ func TestDecodeCorruptHeader(t *testing.T) {
 	buf.Write([]byte{0xFF, 0xFF, 0, 1}) // huge name length
 	if _, err := Decode(&buf); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("err = %v, want ErrCorrupt", err)
+	}
+}
+
+// A header claiming large (but in-range) dimensions over a short body
+// must fail without allocating for the claimed size: 4096x4096 cells
+// would be 384 MiB of fields.
+func TestDecodeClaimedDimsAllocateLazily(t *testing.T) {
+	var buf bytes.Buffer
+	buf.WriteString(magic)
+	buf.Write([]byte{1, 0, 0, 0})                   // version 1
+	buf.Write([]byte{1, 0, 0, 0, 'x'})              // name "x"
+	buf.Write(make([]byte, 8))                      // step 0
+	buf.Write([]byte{0, 0x10, 0, 0, 0, 0x10, 0, 0}) // nx = ny = 4096
+	buf.Write(make([]byte, 64))                     // 8 cells of H, then EOF
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(&buf)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("decoding a short body allocated %d bytes, want < 1 MiB", got)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"nestwrf/internal/mpi"
 	"nestwrf/internal/vtopo"
@@ -137,19 +136,6 @@ func newFluxLine(n int) *fluxLine {
 	}
 }
 
-// reference selects the retained pre-PR5 slow paths (closure-based
-// kernel, per-message allocating halo exchange) used as the
-// bit-identity oracle for the fast paths. The flag is atomic so that
-// toggling it (tests only) is race-free against concurrently stepping
-// tiles; both paths compute bit-identical fields, so whichever value a
-// step observes yields the same result.
-var reference atomic.Bool
-
-// SetReference enables (true) or disables (false) the retained
-// reference implementations of Step and Exchange. Only tests should
-// call this.
-func SetReference(on bool) { reference.Store(on) }
-
 // Errors returned by the tile operations.
 var (
 	ErrBadTile   = errors.New("solver: tile outside global domain")
@@ -258,17 +244,13 @@ func (t *Tile) Step() {
 		t.stepRichtmyer()
 		return
 	}
-	if reference.Load() {
-		t.stepLFReference()
-		return
-	}
 	t.stepLF()
 }
 
 // fillFluxLine evaluates the six flux components of every cell of the
 // halo-extended row y into ln. The expressions are exactly those of the
-// reference kernel's flux closure, so the stored values are bit-for-bit
-// the values the reference recomputes at each of a cell's four uses.
+// closure-based reference kernel's flux function, so the stored values
+// are bit-for-bit the values it recomputes at each of a cell's four uses.
 func (t *Tile) fillFluxLine(y int, ln *fluxLine) {
 	g := t.P.G
 	base := (y + 1) * (t.W + 2) // == t.idx(-1, y)
@@ -291,7 +273,8 @@ func (t *Tile) fillFluxLine(y int, ln *fluxLine) {
 // stepLF is the flux-once Lax-Friedrichs kernel: a rolling window of
 // three per-row flux lines replaces the reference kernel's four flux
 // recomputations per cell. Output is bit-identical to stepLFReference
-// by construction — the guard tests in fast_test.go enforce MaxDiff==0.
+// (fastpath_test.go) by construction; TestFastKernelMatchesReference
+// enforces MaxDiff == 0.
 func (t *Tile) stepLF() {
 	lx := t.P.Dt / (2 * t.P.Dx)
 	fcor := t.P.F * t.P.Dt
@@ -335,55 +318,6 @@ func (t *Tile) stepLF() {
 			// Row y+2 <= H is always a valid halo-extended row.
 			lm, lc, lp = lc, lp, lm
 			t.fillFluxLine(y+2, lp)
-		}
-	}
-	t.h, t.nh = t.nh, t.h
-	t.hu, t.nhu = t.nhu, t.hu
-	t.hv, t.nhv = t.nhv, t.hv
-}
-
-// stepLFReference is the retained pre-PR5 Lax-Friedrichs kernel: a
-// 6-return flux closure evaluated at all four neighbours of every cell,
-// i.e. each cell's flux computed four times. It is the oracle the
-// flux-once kernel is tested against.
-func (t *Tile) stepLFReference() {
-	lx := t.P.Dt / (2 * t.P.Dx)
-	g := t.P.G
-	flux := func(i int) (fh, fhu, fhv, gh, ghu, ghv float64) {
-		h, hu, hv := t.h[i], t.hu[i], t.hv[i]
-		if h <= 0 {
-			return 0, 0, 0, 0, 0, 0
-		}
-		u, v := hu/h, hv/h
-		p := 0.5 * g * h * h
-		return hu, hu*u + p, hu * v, hv, hv * u, hv*v + p
-	}
-	fcor := t.P.F * t.P.Dt
-	drag := t.P.Drag * t.P.Dt
-	for y := 0; y < t.H; y++ {
-		for x := 0; x < t.W; x++ {
-			c := t.idx(x, y)
-			e, w := t.idx(x+1, y), t.idx(x-1, y)
-			n, s := t.idx(x, y+1), t.idx(x, y-1)
-
-			feh, fehu, fehv, _, _, _ := flux(e)
-			fwh, fwhu, fwhv, _, _, _ := flux(w)
-			_, _, _, gnh, gnhu, gnhv := flux(n)
-			_, _, _, gsh, gshu, gshv := flux(s)
-
-			nh := 0.25*(t.h[e]+t.h[w]+t.h[n]+t.h[s]) - lx*((feh-fwh)+(gnh-gsh))
-			nhu := 0.25*(t.hu[e]+t.hu[w]+t.hu[n]+t.hu[s]) - lx*((fehu-fwhu)+(gnhu-gshu))
-			nhv := 0.25*(t.hv[e]+t.hv[w]+t.hv[n]+t.hv[s]) - lx*((fehv-fwhv)+(gnhv-gshv))
-			if fcor != 0 {
-				nhu, nhv = nhu+fcor*nhv, nhv-fcor*nhu
-			}
-			if drag != 0 {
-				nhu -= drag * nhu
-				nhv -= drag * nhv
-			}
-			t.nh[c] = nh
-			t.nhu[c] = nhu
-			t.nhv[c] = nhv
 		}
 	}
 	t.h, t.nh = t.nh, t.h
@@ -475,17 +409,13 @@ func (t *Tile) unpackEdge(dir vtopo.Direction, data []float64) {
 // at grid position (i%Px, i/Px)). Ranks on domain edges fill reflective
 // boundaries instead.
 //
-// The fast path is allocation-free in steady state: edges are packed
-// into pooled payloads sent with ownership transfer, and received
-// payloads are recycled after unpacking. Because sends are eager in
-// this runtime, posting all sends first and then receiving in fixed
-// direction order has exactly the virtual-time behavior of the retained
-// nonblocking reference path (total wait telescopes to the latest
-// arrival regardless of receive order).
+// It is allocation-free in steady state: edges are packed into pooled
+// payloads sent with ownership transfer, and received payloads are
+// recycled after unpacking. Because sends are eager in this runtime,
+// posting all sends first and then receiving in fixed direction order
+// yields the virtual times of any receive order (total wait telescopes
+// to the latest arrival).
 func (t *Tile) Exchange(c *mpi.Comm, grid vtopo.Grid) error {
-	if reference.Load() {
-		return t.exchangeReference(c, grid)
-	}
 	me := c.Rank()
 	for d := vtopo.West; d <= vtopo.North; d++ {
 		nb := grid.Neighbor(me, d)
@@ -509,96 +439,6 @@ func (t *Tile) Exchange(c *mpi.Comm, grid vtopo.Grid) error {
 		}
 		t.unpackEdge(d, data)
 		c.FreePayload(data)
-	}
-	t.SetReflective()
-	return nil
-}
-
-// exchangeReference is the retained pre-PR5 halo exchange: fresh pack
-// slices per direction per step, copying sends and nonblocking request
-// handles. It computes identical fields and virtual times to Exchange.
-func (t *Tile) exchangeReference(c *mpi.Comm, grid vtopo.Grid) error {
-	me := c.Rank()
-	pack := func(dir vtopo.Direction) []float64 {
-		var out []float64
-		switch dir {
-		case vtopo.West:
-			out = make([]float64, 0, 3*t.H)
-			for y := 0; y < t.H; y++ {
-				i := t.idx(0, y)
-				out = append(out, t.h[i], t.hu[i], t.hv[i])
-			}
-		case vtopo.East:
-			out = make([]float64, 0, 3*t.H)
-			for y := 0; y < t.H; y++ {
-				i := t.idx(t.W-1, y)
-				out = append(out, t.h[i], t.hu[i], t.hv[i])
-			}
-		case vtopo.South:
-			out = make([]float64, 0, 3*t.W)
-			for x := 0; x < t.W; x++ {
-				i := t.idx(x, 0)
-				out = append(out, t.h[i], t.hu[i], t.hv[i])
-			}
-		default: // North
-			out = make([]float64, 0, 3*t.W)
-			for x := 0; x < t.W; x++ {
-				i := t.idx(x, t.H-1)
-				out = append(out, t.h[i], t.hu[i], t.hv[i])
-			}
-		}
-		return out
-	}
-	unpack := func(dir vtopo.Direction, data []float64) {
-		switch dir {
-		case vtopo.West:
-			for y := 0; y < t.H; y++ {
-				i := t.idx(-1, y)
-				t.h[i], t.hu[i], t.hv[i] = data[3*y], data[3*y+1], data[3*y+2]
-			}
-		case vtopo.East:
-			for y := 0; y < t.H; y++ {
-				i := t.idx(t.W, y)
-				t.h[i], t.hu[i], t.hv[i] = data[3*y], data[3*y+1], data[3*y+2]
-			}
-		case vtopo.South:
-			for x := 0; x < t.W; x++ {
-				i := t.idx(x, -1)
-				t.h[i], t.hu[i], t.hv[i] = data[3*x], data[3*x+1], data[3*x+2]
-			}
-		default: // North
-			for x := 0; x < t.W; x++ {
-				i := t.idx(x, t.H)
-				t.h[i], t.hu[i], t.hv[i] = data[3*x], data[3*x+1], data[3*x+2]
-			}
-		}
-	}
-	tags := map[vtopo.Direction]int{
-		vtopo.East: tagEast, vtopo.West: tagWest,
-		vtopo.North: tagNorth, vtopo.South: tagSouth,
-	}
-
-	var sends []*mpi.Request
-	recvs := map[vtopo.Direction]*mpi.Request{}
-	for d := vtopo.West; d <= vtopo.North; d++ {
-		nb := grid.Neighbor(me, d)
-		if nb < 0 {
-			continue
-		}
-		sends = append(sends, c.Isend(nb, tags[d], pack(d)))
-		// The neighbour's message towards us carries the tag of the
-		// direction it sent (its d.Opposite() is our d).
-		recvs[d] = c.Irecv(nb, tags[d.Opposite()])
-	}
-	for d, r := range recvs {
-		data, err := r.Wait()
-		if err != nil {
-			return err
-		}
-		unpack(d, data)
-	}
-	if err := mpi.WaitAll(sends...); err != nil {
-		return err
 	}
 	t.SetReflective()
 	return nil

@@ -129,17 +129,20 @@ func TestDecomposeCoversDomain(t *testing.T) {
 // The core correctness property: the parallel solution over any process
 // grid equals the serial solution bit for bit.
 func TestParallelMatchesSerial(t *testing.T) {
-	nx, ny, steps := 37, 29, 60
+	nx, ny := 37, 29
 	p := DefaultParams()
 	init := GaussianHill(nx, ny, 18, 14, 0.4, 4)
-	ref, err := RunSerial(nx, ny, steps, p, init)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shape := range [][2]int{{2, 2}, {4, 3}, {1, 4}, {6, 1}} {
-		grid := vtopo.Grid{Px: shape[0], Py: shape[1]}
+	for _, tc := range []struct{ px, py, steps int }{
+		{2, 2, 60}, {4, 3, 60}, {1, 4, 60}, {6, 1, 60}, {3, 2, 40},
+	} {
+		steps := tc.steps
+		ref, err := RunSerial(nx, ny, steps, p, init)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid := vtopo.Grid{Px: tc.px, Py: tc.py}
 		var got *State
-		_, err := mpi.Run(grid.Size(), tm(), func(proc *mpi.Proc) error {
+		_, err = mpi.Run(grid.Size(), tm(), func(proc *mpi.Proc) error {
 			c := proc.World()
 			x0, y0, w, h := Decompose(nx, ny, grid, c.Rank())
 			tile, err := NewTile(nx, ny, x0, y0, w, h, p)
@@ -163,13 +166,13 @@ func TestParallelMatchesSerial(t *testing.T) {
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("grid %v: %v", shape, err)
+			t.Fatalf("grid %v: %v", grid, err)
 		}
 		if got == nil {
-			t.Fatalf("grid %v: no gathered state", shape)
+			t.Fatalf("grid %v: no gathered state", grid)
 		}
 		if d := ref.MaxDiff(got); d != 0 {
-			t.Errorf("grid %v: parallel differs from serial by %v", shape, d)
+			t.Errorf("grid %v: parallel differs from serial by %v", grid, d)
 		}
 	}
 }

@@ -64,6 +64,14 @@ func DecodeDump(r io.Reader) (Dump, error) {
 	if d.Schema != DumpSchema {
 		return d, fmt.Errorf("telemetry: unsupported span schema %q (want %s)", d.Schema, DumpSchema)
 	}
+	// An empty attrs list encodes as absent (omitempty), so decode it
+	// as absent too: a decoded dump then re-encodes and decodes back
+	// unchanged.
+	for i := range d.Spans {
+		if len(d.Spans[i].Attrs) == 0 {
+			d.Spans[i].Attrs = nil
+		}
+	}
 	return d, nil
 }
 

@@ -3,7 +3,6 @@ package wrfsim
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"nestwrf/internal/mpi"
 	"nestwrf/internal/nest"
@@ -55,19 +54,6 @@ func ownerIdx(n, parts, g int) int {
 	return rem + (g-bound)/base
 }
 
-// reference selects the retained slow coupling paths: patterns and
-// plans recomputed from scratch at every coupling step with fresh
-// allocations and copying sends, exactly as before the PR5 plan cache.
-// The fast and reference paths are bit-identical by construction and
-// guarded by equivalence tests. The flag is atomic so toggling it
-// (tests only) is race-free against concurrently running simulations.
-var reference atomic.Bool
-
-// SetReference enables (true) or disables (false) the retained
-// recompute-every-step coupling implementations. Only tests should
-// call this.
-func SetReference(on bool) { reference.Store(on) }
-
 // bcTransfer is one (src, dst) message of the boundary-condition
 // exchange: parent cells read at src, halo cells written at dst.
 type bcTransfer struct {
@@ -118,7 +104,7 @@ func newBCPlan(pattern []*bcTransfer, nranks int) *bcPlan {
 // nest: which world rank sends which parent cells to which world rank.
 // It depends only on the domain geometry and process grids, so Run
 // builds it once (indexed by rank, see bcPlan) and shares it read-only
-// across ranks; the reference path recomputes it every step.
+// across ranks.
 func bcPattern(cfg *nest.Domain, grid vtopo.Grid, c *nest.Domain, cgrid vtopo.Grid, cworld []int) []*bcTransfer {
 	byPair := map[[2]int]*bcTransfer{}
 	var order [][2]int
@@ -160,32 +146,15 @@ func bcPattern(cfg *nest.Domain, grid vtopo.Grid, c *nest.Domain, cgrid vtopo.Gr
 // stores them in nc.bc (cleared first). Every rank participates as a
 // potential sender; only nest members receive.
 //
-// The fast path walks the plan cached on the nest context (built once
-// in Run) and moves payloads through the pooled owned-send path, so a
-// steady-state coupling step performs no allocations; the reference
-// path recomputes the pattern and allocates fresh payloads every call,
-// as the code did before the plan cache existed.
-func exchangeBC(world *mpi.Comm, grid vtopo.Grid, parent *solver.Tile, nc *nestCtx, cfg *nest.Domain) error {
+// It walks the plan cached on the nest context (built once in Run) and
+// moves payloads through the pooled owned-send path, so a steady-state
+// coupling step performs no allocations.
+func exchangeBC(world *mpi.Comm, parent *solver.Tile, nc *nestCtx) error {
 	if nc.tracer.Recording() {
 		sp := nc.tracer.Start(nc.span, "bc:"+nc.d.Name, telemetry.LayerPhase)
 		defer sp.End()
 	}
 	me := world.Rank()
-	sends, recvs, pooled := nc.bcPlan.send[me], nc.bcPlan.recv[me], true
-	if reference.Load() {
-		// Recompute the pattern and filter it by scanning, with fresh
-		// allocations, as the code did before the plan cache existed.
-		pooled = false
-		sends, recvs = nil, nil
-		for _, tr := range bcPattern(cfg, grid, nc.d, nc.grid, nc.world) {
-			if tr.src == me {
-				sends = append(sends, tr)
-			}
-			if tr.dst == me && tr.src != me {
-				recvs = append(recvs, tr)
-			}
-		}
-	}
 	tag := tagBC + nc.idx
 
 	if nc.tile != nil {
@@ -193,32 +162,20 @@ func exchangeBC(world *mpi.Comm, grid vtopo.Grid, parent *solver.Tile, nc *nestC
 	}
 
 	// Post sends (and handle self-transfers locally).
-	for _, tr := range sends {
-		n := 3 * len(tr.pcells)
-		var data []float64
-		if pooled {
-			data = world.AllocPayload(n)
-		} else {
-			data = make([]float64, n)
-		}
+	for _, tr := range nc.bcPlan.send[me] {
+		data := world.AllocPayload(3 * len(tr.pcells))
 		for i, pc := range tr.pcells {
 			data[3*i], data[3*i+1], data[3*i+2] = parent.Cell(pc[0]-parent.X0, pc[1]-parent.Y0)
 		}
 		if tr.dst == me {
 			storeBC(nc, tr, data)
-			if pooled {
-				world.FreePayload(data)
-			}
+			world.FreePayload(data)
 			continue
 		}
-		if pooled {
-			world.SendOwned(tr.dst, tag, data)
-		} else {
-			world.Send(tr.dst, tag, data)
-		}
+		world.SendOwned(tr.dst, tag, data)
 	}
 	// Receive in deterministic pattern order.
-	for _, tr := range recvs {
+	for _, tr := range nc.bcPlan.recv[me] {
 		data, err := world.Recv(tr.src, tag)
 		if err != nil {
 			return err
@@ -227,9 +184,7 @@ func exchangeBC(world *mpi.Comm, grid vtopo.Grid, parent *solver.Tile, nc *nestC
 			return fmt.Errorf("wrfsim: BC payload %d for %d cells", len(data), len(tr.pcells))
 		}
 		storeBC(nc, tr, data)
-		if pooled {
-			world.FreePayload(data)
-		}
+		world.FreePayload(data)
 	}
 	return nil
 }
@@ -295,8 +250,7 @@ type fbOwnedCell struct {
 // the deterministic transfer pattern plus every rank's canonical
 // accumulation recipe. It depends only on the domain geometry and
 // process grids, so Run builds it once and shares it read-only across
-// ranks (per-step payload stashes live on the rank's nestCtx); the
-// reference path rebuilds it every step.
+// ranks (per-step payload stashes live on the rank's nestCtx).
 type fbPlan struct {
 	transfers   []*fbTransfer
 	ownedByRank [][]fbOwnedCell // indexed by parent world rank
@@ -429,38 +383,26 @@ func buildFBPlan(cfg *nest.Domain, grid vtopo.Grid, c *nest.Domain, cgrid vtopo.
 // exchangeFeedback averages each nest's solution back onto the parent
 // cells it overlaps: child owners send their cells of each block, and
 // the parent owner accumulates every block in canonical child-global
-// row-major order before normalizing. The fast path reuses the plan
-// cached on the nest context and pooled payload buffers; the reference
-// path rebuilds the plan and allocates afresh at every call.
-func exchangeFeedback(world *mpi.Comm, grid vtopo.Grid, parent *solver.Tile, nc *nestCtx, cfg *nest.Domain) error {
+// row-major order before normalizing, reusing the plan cached on the
+// nest context and pooled payload buffers.
+func exchangeFeedback(world *mpi.Comm, parent *solver.Tile, nc *nestCtx) error {
 	if nc.tracer.Recording() {
 		sp := nc.tracer.Start(nc.span, "fb:"+nc.d.Name, telemetry.LayerPhase)
 		defer sp.End()
 	}
-	tag := tagFeedback + nc.idx
-	if reference.Load() {
-		plan := buildFBPlan(cfg, grid, nc.d, nc.grid, nc.world)
-		payloads := make([][]float64, plan.inboxLen[world.Rank()])
-		return runFeedback(world, parent, nc, plan, payloads, tag, false)
-	}
-	return runFeedback(world, parent, nc, nc.fbPlan, nc.fbPayloads, tag, true)
+	return runFeedback(world, parent, nc, nc.fbPlan, nc.fbPayloads, tagFeedback+nc.idx)
 }
 
 // runFeedback executes one feedback exchange according to plan, using
 // payloads as this rank's inbox stash (one slot per incoming transfer,
 // including self-transfers) for the step's buffers.
-func runFeedback(world *mpi.Comm, parent *solver.Tile, nc *nestCtx, plan *fbPlan, payloads [][]float64, tag int, pooled bool) error {
+func runFeedback(world *mpi.Comm, parent *solver.Tile, nc *nestCtx, plan *fbPlan, payloads [][]float64, tag int) error {
 	me := world.Rank()
 	t := nc.tile
 
 	// Sends (self-transfers stash their payload directly).
 	for _, tr := range plan.sendByRank[me] {
-		var buf []float64
-		if pooled {
-			buf = world.AllocPayload(tr.floats)
-		} else {
-			buf = make([]float64, tr.floats)
-		}
+		buf := world.AllocPayload(tr.floats)
 		k := 0
 		for _, e := range tr.entries {
 			for y := e.y0; y < e.y0+e.h; y++ {
@@ -474,11 +416,7 @@ func runFeedback(world *mpi.Comm, parent *solver.Tile, nc *nestCtx, plan *fbPlan
 			payloads[tr.slot] = buf
 			continue
 		}
-		if pooled {
-			world.SendOwned(tr.dst, tag, buf)
-		} else {
-			world.Send(tr.dst, tag, buf)
-		}
+		world.SendOwned(tr.dst, tag, buf)
 	}
 	// Receive in deterministic pattern order.
 	for _, tr := range plan.recvByRank[me] {
@@ -511,9 +449,7 @@ func runFeedback(world *mpi.Comm, parent *solver.Tile, nc *nestCtx, plan *fbPlan
 		if b == nil {
 			continue
 		}
-		if pooled {
-			world.FreePayload(b)
-		}
+		world.FreePayload(b)
 		payloads[i] = nil
 	}
 	return nil
