@@ -86,12 +86,19 @@ type Checkpoint struct {
 	Aggregates *Aggregates `json:"aggregates"`
 }
 
-// LoadCheckpoint reads and version-checks a checkpoint file.
+// LoadCheckpoint reads and validates a checkpoint file.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
 	}
+	return decodeCheckpoint(raw)
+}
+
+// decodeCheckpoint parses and validates checkpoint bytes. Anything it
+// accepts can be resumed: every stream and quantile estimator is
+// present and well-formed (see checkStream).
+func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
 	var cp Checkpoint
 	if err := json.Unmarshal(raw, &cp); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
@@ -99,10 +106,45 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if cp.Version != checkpointVersion {
 		return nil, fmt.Errorf("%w: version %q, want %q", ErrBadCheckpoint, cp.Version, checkpointVersion)
 	}
-	if cp.Aggregates == nil || cp.Committed < 0 {
+	if cp.Committed < 0 {
+		return nil, fmt.Errorf("%w: negative committed count %d", ErrBadCheckpoint, cp.Committed)
+	}
+	a := cp.Aggregates
+	if a == nil {
 		return nil, fmt.Errorf("%w: missing aggregates", ErrBadCheckpoint)
 	}
+	if err := errors.Join(
+		checkStream("default_time", a.DefaultTime),
+		checkStream("concurrent_time", a.ConcurrentTime),
+		checkStream("improvement_pct", a.ImprovementPct),
+	); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadCheckpoint, err)
+	}
 	return &cp, nil
+}
+
+// checkStream rejects a restored stream that would panic or misbehave
+// on the next Add: a missing stream or estimator, a negative count, or
+// a quantile probability outside (0, 1).
+func checkStream(name string, s *stats.Stream) error {
+	if s == nil {
+		return fmt.Errorf("missing %s stream", name)
+	}
+	if s.Count < 0 {
+		return fmt.Errorf("%s: negative count %d", name, s.Count)
+	}
+	for i, q := range s.Quantiles {
+		if q == nil {
+			return fmt.Errorf("%s: missing quantile %d", name, i)
+		}
+		if q.Count < 0 {
+			return fmt.Errorf("%s: quantile %d: negative count %d", name, i, q.Count)
+		}
+		if !(q.P > 0 && q.P < 1) {
+			return fmt.Errorf("%s: quantile %d: probability %v outside (0, 1)", name, i, q.P)
+		}
+	}
+	return nil
 }
 
 // save writes the checkpoint atomically (temp file + rename in the
@@ -316,6 +358,9 @@ func (e *Engine) Run(ctx context.Context) (*Summary, error) {
 			}
 			if cp.Spec != spec {
 				return nil, fmt.Errorf("%w: checkpoint %+v, campaign %+v", ErrCheckpointMismatch, cp.Spec, spec)
+			}
+			if cp.Committed > spec.Members {
+				return nil, fmt.Errorf("%w: %d members committed of %d", ErrBadCheckpoint, cp.Committed, spec.Members)
 			}
 			agg = cp.Aggregates
 			start = cp.Committed

@@ -1,9 +1,11 @@
 package ensemble
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -161,16 +163,32 @@ func TestEngineDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// resumeAggregatesPath records the aggregates of the
+// TestCheckpointResumeBitIdentity campaign, as indented JSON.
+const resumeAggregatesPath = "testdata/resume_aggregates.json"
+
 // Kill/resume: a run stopped mid-campaign and resumed from its
 // checkpoint must reproduce the uninterrupted run's aggregates bit for
-// bit, without recomputing finished members.
+// bit, without recomputing finished members. Both must equal the
+// recorded aggregates.
 func TestCheckpointResumeBitIdentity(t *testing.T) {
 	spec := Spec{Generator: GenMixed, Members: 45, Seed: 2, Ranks: 512, StepsPerPhase: 10}
 	ctx := context.Background()
+	raw, err := os.ReadFile(resumeAggregatesPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden bytes.Buffer
+	if err := json.Compact(&golden, raw); err != nil {
+		t.Fatalf("%s: %v", resumeAggregatesPath, err)
+	}
 
 	full, err := (&Engine{Spec: spec, Workers: 6, Cache: sharedCache}).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := aggJSON(t, full.Aggregates); got != golden.String() {
+		t.Errorf("aggregates differ from %s:\nthis build: %s", resumeAggregatesPath, got)
 	}
 
 	path := filepath.Join(t.TempDir(), "campaign.ckpt")
@@ -208,8 +226,8 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 	if resumed.Committed != spec.Members {
 		t.Fatalf("resumed run committed %d, want %d", resumed.Committed, spec.Members)
 	}
-	if a, b := aggJSON(t, full.Aggregates), aggJSON(t, resumed.Aggregates); a != b {
-		t.Errorf("resume broke bit-identity:\nfull:    %s\nresumed: %s", a, b)
+	if a, b := golden.String(), aggJSON(t, resumed.Aggregates); a != b {
+		t.Errorf("resume broke bit-identity:\nrecorded: %s\nresumed:  %s", a, b)
 	}
 
 	// Resuming a completed campaign is a no-op with the same aggregates.

@@ -14,9 +14,8 @@
 // owns a private mailbox (lock + condition variable), the
 // blocked/queued/alive bookkeeping is atomic, and payload pools are
 // lock-striped, so worlds of 10k+ virtual ranks run without funneling
-// every operation through one mutex. The previous single-mutex runtime
-// is retained behind SetReference and produces bit-identical virtual
-// clocks, wait times and results.
+// every operation through one mutex. Checked-in fixtures pin the
+// clocks, wait times, phase stats and deadlock reports it produces.
 package mpi
 
 import (
@@ -91,37 +90,17 @@ func (q *msgq) pop() *message {
 	return msg
 }
 
-// reference selects the retained single-mutex runtime: one world-wide
-// lock over mailboxes, pools and the blocked/queued/alive counters,
-// exactly as the code stood before the sharded runtime. The sharded
-// and reference runtimes are bit-identical in every virtual-time
-// observable (clocks, wait times, per-phase stats, results) and
-// guarded by equivalence tests; only real-time scalability differs.
-// The flag is atomic so toggling it (tests only) is race-free against
-// concurrently running worlds, and it is captured once per Run so a
-// mid-run flip cannot mix the two runtimes inside one world.
-var reference atomic.Bool
-
-// SetReference enables (true) or disables (false) the retained
-// unsharded runtime. Only tests should call this.
-func SetReference(on bool) { reference.Store(on) }
-
-// World is one simulated job: n ranks plus shared mailboxes.
+// World is one simulated job: n ranks plus their mailboxes.
 //
-// In the sharded runtime each rank owns a mailbox with its own lock
-// and condition variable: senders lock exactly the destination rank's
-// mailbox and a delivery wakes exactly the receiving rank, so traffic
-// between disjoint rank pairs never contends. Deadlock bookkeeping
-// (blocked/queued/alive) is atomic, checked lock-free on the blocking
-// path and confirmed under a small detector mutex before declaring.
-//
-// The retained reference runtime keeps the original design: one
-// world-wide mutex guarding per-rank queues, per-rank condition
-// variables all sharing that mutex, and plain counters.
+// Each rank owns a mailbox with its own lock and condition variable:
+// senders lock exactly the destination rank's mailbox and a delivery
+// wakes exactly the receiving rank, so traffic between disjoint rank
+// pairs never contends. Deadlock bookkeeping (blocked/queued/alive) is
+// atomic, checked lock-free on the blocking path and confirmed under a
+// small detector mutex before declaring.
 type World struct {
-	n   int
-	tm  TimeModel
-	ref bool // retained single-mutex runtime (SetReference)
+	n  int
+	tm TimeModel
 
 	// commSeq allocates world-unique communicator ids (world is 0).
 	commSeq atomic.Int64
@@ -130,8 +109,6 @@ type World struct {
 	// registers each group's list once; every member aliases it
 	// read-only, so a split is O(n) total instead of O(n) per rank.
 	splitRanks sync.Map
-
-	// --- sharded runtime state ---
 
 	mboxes []mailbox
 	// classes are the per-size-class overflow pools; localHits and
@@ -144,22 +121,11 @@ type World struct {
 	// undelivered messages (incremented before a message becomes
 	// visible, decremented atomically with the receiver's unblock).
 	packed   atomic.Int64
-	aliveS   atomic.Int64
-	failedS  atomic.Bool
+	alive    atomic.Int64
+	failed   atomic.Bool
 	detectMu sync.Mutex // serializes deadlock confirmation
-	failErrS error      // under detectMu; read only after failedS is set
-
-	// --- reference runtime state ---
-
-	mu      sync.Mutex
-	conds   []*sync.Cond // per-rank wakeups, all sharing mu
-	boxes   []map[matchKey]*msgq
-	pool    freeLists // single payload pool, guarded by mu
-	waits   []waitRecord
-	blocked int
-	queued  int
-	alive   int
-	failed  bool
+	// failErr is written under detectMu before failed is set, so any
+	// goroutine that has observed failed can read it without a lock.
 	failErr error
 }
 
@@ -174,40 +140,25 @@ func Run(n int, tm TimeModel, fn func(p *Proc) error) ([]*Proc, error) {
 	if n <= 0 {
 		return nil, errBadRanks(n)
 	}
-	w := &World{n: n, tm: tm, ref: reference.Load()}
+	w := &World{n: n, tm: tm}
 	w.commSeq.Store(1)
+	w.alive.Store(int64(n))
 	worldRanks := make([]int, n)
 	for i := range worldRanks {
 		worldRanks[i] = i
 	}
-	if w.ref {
-		w.alive = n
-		w.conds = make([]*sync.Cond, n)
-		w.boxes = make([]map[matchKey]*msgq, n)
-		w.waits = make([]waitRecord, n)
-		for i := range w.boxes {
-			w.conds[i] = sync.NewCond(&w.mu)
-			w.boxes[i] = make(map[matchKey]*msgq)
-		}
-	} else {
-		w.aliveS.Store(int64(n))
-		w.mboxes = make([]mailbox, n)
-		for i := range w.mboxes {
-			mb := &w.mboxes[i]
-			mb.cond.L = &mb.mu
-			mb.boxes = make(map[matchKey]*msgq)
-		}
+	w.mboxes = make([]mailbox, n)
+	for i := range w.mboxes {
+		mb := &w.mboxes[i]
+		mb.cond.L = &mb.mu
+		mb.boxes = make(map[matchKey]*msgq)
 	}
 	procs := make([]*Proc, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	wg.Add(n)
-	caches := make([]rankCache, n) // sharded runtime per-rank payload caches
 	for r := 0; r < n; r++ {
 		p := &Proc{w: w, rank: r}
-		if !w.ref {
-			p.pcache = &caches[r]
-		}
 		p.world = &Comm{w: w, id: 0, ranks: worldRanks, me: r, proc: p}
 		procs[r] = p
 		go func(r int) {
@@ -231,20 +182,11 @@ func Run(n int, tm TimeModel, fn func(p *Proc) error) ([]*Proc, error) {
 // they re-check. In a clean run nothing is blocked here and no one is
 // woken.
 func (w *World) rankExit(p *Proc) {
-	if w.ref {
-		w.mu.Lock()
-		w.alive--
-		if w.failed || (w.blocked >= w.alive && w.queued == 0) {
-			w.wakeAll()
-		}
-		w.mu.Unlock()
-		return
-	}
-	w.foldRankCache(p.pcache)
-	alive := w.aliveS.Add(-1)
+	w.foldRankCache(&p.pcache)
+	alive := w.alive.Add(-1)
 	st := w.packed.Load()
-	if w.failedS.Load() || (st>>32 >= alive && st&queuedMask == 0) {
-		w.wakeAllSharded()
+	if w.failed.Load() || (st>>32 >= alive && st&queuedMask == 0) {
+		w.wakeAll()
 	}
 }
 
@@ -305,9 +247,8 @@ type Proc struct {
 	phases   []Phase
 	phaseIdx map[string]int
 
-	// pcache is the rank's private payload cache (sharded runtime
-	// only; nil under SetReference). See pool.go.
-	pcache *rankCache
+	// pcache is the rank's private payload cache. See pool.go.
+	pcache rankCache
 }
 
 // Comm is a communicator: an ordered group of global ranks. Local rank
@@ -467,12 +408,7 @@ func (c *Comm) SendOwned(to, tag int, data []float64) {
 		p.cur.SendCount++
 		p.cur.SendBytes += bytes
 	}
-	key := matchKey{src: p.rank, tag: tag, comm: c.id}
-	if c.w.ref {
-		c.w.refSend(dst, key, msg)
-	} else {
-		c.w.shardSend(dst, key, msg)
-	}
+	c.w.send(dst, matchKey{src: p.rank, tag: tag, comm: c.id}, msg)
 }
 
 // AllocPayload returns a length-n scratch slice from the world's
@@ -490,14 +426,7 @@ func (c *Comm) FreePayload(b []float64) { c.w.freePayload(c.proc, b) }
 // accounts blocked time as wait time.
 func (c *Comm) Recv(from, tag int) ([]float64, error) {
 	p := c.proc
-	key := matchKey{src: c.ranks[from], tag: tag, comm: c.id}
-	var msg *message
-	var err error
-	if c.w.ref {
-		msg, err = c.w.refRecv(p, key)
-	} else {
-		msg, err = c.w.shardRecv(p, key)
-	}
+	msg, err := c.w.recv(p, matchKey{src: c.ranks[from], tag: tag, comm: c.id})
 	if err != nil {
 		return nil, err
 	}

@@ -569,27 +569,23 @@ func TestAggregatePhases(t *testing.T) {
 
 // TestAggregatePhasesLastPhaseWall: the phase still open when the rank
 // function returns must report its wall time too, not just the phases
-// closed by a later BeginPhase, on both runtimes.
+// closed by a later BeginPhase.
 func TestAggregatePhasesLastPhaseWall(t *testing.T) {
-	defer SetReference(false)
 	const ranks, work = 2, 2 * time.Millisecond
-	for _, ref := range []bool{false, true} {
-		SetReference(ref)
-		procs, err := Run(ranks, tm(), func(p *Proc) error {
-			p.BeginPhase("setup")
-			p.BeginPhase("tail")
-			time.Sleep(work)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		totals := AggregatePhases(procs)
-		if len(totals) != 2 || totals[1].Name != "tail" {
-			t.Fatalf("reference=%v: totals = %+v", ref, totals)
-		}
-		if got, min := totals[1].Sum.Wall, ranks*work.Seconds(); got < min {
-			t.Errorf("reference=%v: tail phase wall = %v s, want at least %v s", ref, got, min)
-		}
+	procs, err := Run(ranks, tm(), func(p *Proc) error {
+		p.BeginPhase("setup")
+		p.BeginPhase("tail")
+		time.Sleep(work)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	totals := AggregatePhases(procs)
+	if len(totals) != 2 || totals[1].Name != "tail" {
+		t.Fatalf("totals = %+v", totals)
+	}
+	if got, min := totals[1].Sum.Wall, ranks*work.Seconds(); got < min {
+		t.Errorf("tail phase wall = %v s, want at least %v s", got, min)
 	}
 }

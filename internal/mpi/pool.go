@@ -7,8 +7,8 @@ import (
 
 // Payload pooling. Buffers are size-classed by power of two and
 // recycled through free lists. Payloads flow sender → receiver, so the
-// sharded runtime pools in two tiers chosen to keep supply and demand
-// meeting without a global lock:
+// runtime pools in two tiers chosen to keep supply and demand meeting
+// without a global lock:
 //
 //   - a lock-free per-rank cache (only the owning goroutine touches
 //     it), which absorbs the symmetric steady state — halo and
@@ -20,10 +20,9 @@ import (
 //     producer/consumer flows still recycle, while different classes
 //     never contend with each other.
 //
-// The reference runtime keeps the original single set of lists under
-// the world mutex. Both runtimes bound every free list per size class
-// so a bursty phase cannot pin its peak buffer population forever, and
-// both count hits/misses/frees/drops for World.PoolStats.
+// Every free list is bounded per size class so a bursty phase cannot
+// pin its peak buffer population forever, and hits/misses/frees/drops
+// are counted for World.PoolStats.
 
 // payloadClasses is the number of power-of-two payload size classes the
 // world pool keeps (class c holds buffers with capacity >= 1<<c).
@@ -84,38 +83,6 @@ type classPool struct {
 	_                          [40]byte
 }
 
-// freeLists is the reference runtime's single set of size-classed free
-// lists plus counters, guarded by the world mutex.
-type freeLists struct {
-	free                       [payloadClasses][][]float64
-	hits, misses, frees, drops uint64
-}
-
-// alloc pops a buffer of class c (caller computed it for n), or
-// returns nil on a pool miss. Caller holds the world mutex.
-func (f *freeLists) alloc(n, c int) []float64 {
-	if s := f.free[c]; len(s) > 0 {
-		b := s[len(s)-1]
-		s[len(s)-1] = nil
-		f.free[c] = s[:len(s)-1]
-		f.hits++
-		return b[:n]
-	}
-	f.misses++
-	return nil
-}
-
-// put recycles a buffer into floor class cl, dropping it when the
-// class is at capacity. Caller holds the world mutex.
-func (f *freeLists) put(b []float64, cl int) {
-	if len(f.free[cl]) >= classCap(cl) {
-		f.drops++
-		return
-	}
-	f.frees++
-	f.free[cl] = append(f.free[cl], b[:0])
-}
-
 // allocPayload returns a length-n scratch slice drawn from the world
 // pool (or freshly allocated on a pool miss or an over-sized request).
 // Contents are unspecified; callers overwrite every element.
@@ -127,23 +94,13 @@ func (w *World) allocPayload(p *Proc, n int) []float64 {
 	if c >= payloadClasses {
 		return make([]float64, n)
 	}
-	if w.ref {
-		w.mu.Lock()
-		b := w.pool.alloc(n, c)
-		w.mu.Unlock()
-		if b != nil {
-			return b
-		}
-		return make([]float64, n, 1<<c)
-	}
-	if rc := p.pcache; rc != nil {
-		if s := rc.free[c]; len(s) > 0 {
-			b := s[len(s)-1]
-			s[len(s)-1] = nil
-			rc.free[c] = s[:len(s)-1]
-			rc.hits++
-			return b[:n]
-		}
+	rc := &p.pcache
+	if s := rc.free[c]; len(s) > 0 {
+		b := s[len(s)-1]
+		s[len(s)-1] = nil
+		rc.free[c] = s[:len(s)-1]
+		rc.hits++
+		return b[:n]
 	}
 	cp := &w.classes[c]
 	cp.mu.Lock()
@@ -173,13 +130,7 @@ func (w *World) freePayload(p *Proc, b []float64) {
 	if cl >= payloadClasses {
 		return
 	}
-	if w.ref {
-		w.mu.Lock()
-		w.pool.put(b, cl)
-		w.mu.Unlock()
-		return
-	}
-	if rc := p.pcache; rc != nil && len(rc.free[cl]) < rankCacheCap(cl) {
+	if rc := &p.pcache; len(rc.free[cl]) < rankCacheCap(cl) {
 		rc.frees++
 		rc.free[cl] = append(rc.free[cl], b[:0])
 		return
@@ -252,19 +203,6 @@ func (s PoolStats) HitRate() float64 {
 // when each rank exits, so post-run snapshots are complete.
 func (w *World) PoolStats() PoolStats {
 	var s PoolStats
-	if w.ref {
-		w.mu.Lock()
-		f := &w.pool
-		s.Hits, s.Misses, s.Frees, s.Drops = f.hits, f.misses, f.frees, f.drops
-		for _, lst := range f.free {
-			s.Buffers += len(lst)
-			for _, b := range lst {
-				s.Bytes += int64(8 * cap(b))
-			}
-		}
-		w.mu.Unlock()
-		return s
-	}
 	s.Hits = w.localHits.Load()
 	s.Frees = w.localFrees.Load()
 	for c := range w.classes {

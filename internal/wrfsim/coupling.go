@@ -252,10 +252,9 @@ type fbOwnedCell struct {
 // process grids, so Run builds it once and shares it read-only across
 // ranks (per-step payload stashes live on the rank's nestCtx).
 type fbPlan struct {
-	transfers   []*fbTransfer
 	ownedByRank [][]fbOwnedCell // indexed by parent world rank
-	// Per-rank indexes over transfers, in global pattern order (so
-	// per-rank message order matches a filtered scan of transfers):
+	// Per-rank views of the transfer pattern, each in global
+	// (src, dst) pattern order, which fixes every rank's message order:
 	// sendByRank includes self-transfers, recvByRank excludes them, and
 	// inboxLen is each rank's stash size (slots cover both).
 	sendByRank [][]*fbTransfer
@@ -321,12 +320,11 @@ func buildFBPlan(cfg *nest.Domain, grid vtopo.Grid, c *nest.Domain, cgrid vtopo.
 	})
 	nranks := grid.Size()
 	plan := &fbPlan{
-		transfers:  make([]*fbTransfer, len(order)),
 		sendByRank: make([][]*fbTransfer, nranks),
 		recvByRank: make([][]*fbTransfer, nranks),
 		inboxLen:   make([]int, nranks),
 	}
-	for i, k := range order {
+	for _, k := range order {
 		tr := byPair[k]
 		tr.slot = plan.inboxLen[tr.dst]
 		plan.inboxLen[tr.dst]++
@@ -340,7 +338,6 @@ func buildFBPlan(cfg *nest.Domain, grid vtopo.Grid, c *nest.Domain, cgrid vtopo.
 			off += 3 * tr.entries[ei].w * tr.entries[ei].h
 		}
 		tr.floats = off
-		plan.transfers[i] = tr
 	}
 
 	// Accumulation recipe per owning parent rank: each block's cells in

@@ -80,7 +80,8 @@ func goldenOf(cfg *nest.Domain, out *Output) goldenRun {
 // phase totals to the values recorded in testdata: the Table 2 paper
 // domain at 32 and 512 ranks under both strategies, one concurrent
 // step at 2048 ranks (skipped under -short and the race detector, like
-// TestFunctionalHighRankDeterminism), and the small two-nest run.
+// TestFunctionalHighRankDeterminism), and the small two-nest run under
+// both strategies.
 func TestRunGolden(t *testing.T) {
 	raw, err := os.ReadFile(runGoldenPath)
 	if err != nil {
@@ -109,6 +110,7 @@ func TestRunGolden(t *testing.T) {
 		{"paper/512/concurrent", paperConfig(), paper(512, Concurrent), false},
 		{"paper/2048/concurrent/1step", paperConfig(), highRank, true},
 		{"test/32/sequential", testConfig(), baseOpts(Sequential), false},
+		{"test/32/concurrent", testConfig(), baseOpts(Concurrent), false},
 	}
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {

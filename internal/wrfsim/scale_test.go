@@ -59,25 +59,6 @@ func equalOutputs(t *testing.T, label string, a, b *Output) {
 	}
 }
 
-// A functional run on the sharded mpi runtime must be bit-identical to
-// one on the retained single-mutex reference runtime: same fields,
-// same virtual clocks and waits, same per-phase stats.
-func TestFunctionalShardedMatchesReference(t *testing.T) {
-	for _, s := range []Strategy{Sequential, Concurrent} {
-		run := func(ref bool) *Output {
-			mpi.SetReference(ref)
-			defer mpi.SetReference(false)
-			out, err := Run(testConfig(), baseOpts(s))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return scaleSnapshot(out)
-		}
-		equalOutputs(t, map[Strategy]string{Sequential: "sequential", Concurrent: "concurrent"}[s],
-			run(false), run(true))
-	}
-}
-
 // A full paper-scale functional run must be deterministic: repeated
 // runs at thousands of ranks produce bit-identical fields, clocks and
 // phase stats. (GOMAXPROCS variation is covered in the mpi package's
