@@ -14,6 +14,11 @@
 //
 //	go run ./cmd/benchsnap -bench 'PerIteration85$' -compare BENCH_4.json
 //
+// -pkg takes a space-separated package list (default "."), so a
+// snapshot can mix end-to-end and per-layer benchmarks:
+//
+//	go run ./cmd/benchsnap -pkg '. ./internal/mapping' -bench 'ColdPlan$|Analyze1024$'
+//
 // By default it runs each benchmark for a single iteration
 // (-benchtime 1x), which is what the committed snapshots use: the
 // experiment benchmarks are long enough that one iteration is a stable
@@ -60,7 +65,7 @@ func main() {
 	var (
 		bench     = flag.String("bench", ".", "benchmark regex passed to go test -bench")
 		benchtime = flag.String("benchtime", "1x", "value passed to go test -benchtime")
-		pkg       = flag.String("pkg", ".", "package to benchmark")
+		pkg       = flag.String("pkg", ".", "space-separated packages to benchmark")
 		out       = flag.String("o", "", "output JSON file (default stdout)")
 		compare   = flag.String("compare", "", "baseline snapshot JSON; report deltas and exit 1 on regressions")
 		threshold = flag.Float64("threshold", 15, "regression threshold in percent for -compare")
@@ -170,10 +175,13 @@ func compareSnapshots(old, cur *Snapshot, threshold float64) (rows []string, reg
 }
 
 // runBench shells out to go test with run disabled so only benchmarks
-// execute, and returns the combined output.
-func runBench(pkg, bench, benchtime string) ([]byte, error) {
-	cmd := exec.Command("go", "test", "-run", "^$",
-		"-bench", bench, "-benchtime", benchtime, "-benchmem", pkg)
+// execute, and returns the combined output. pkgs is a space-separated
+// package list, so one snapshot can hold the end-to-end benchmarks of
+// the root package and the per-layer ones of internal packages.
+func runBench(pkgs, bench, benchtime string) ([]byte, error) {
+	args := append([]string{"test", "-run", "^$",
+		"-bench", bench, "-benchtime", benchtime, "-benchmem"}, strings.Fields(pkgs)...)
+	cmd := exec.Command("go", args...)
 	var buf bytes.Buffer
 	cmd.Stdout = &buf
 	cmd.Stderr = os.Stderr

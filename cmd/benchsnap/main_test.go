@@ -128,3 +128,28 @@ func TestParseNoResults(t *testing.T) {
 		t.Error("parse of benchmark-free output should error")
 	}
 }
+
+// A benchmark missing from the baseline (a per-layer bench added to the
+// default set after the snapshot was taken) or missing from the current
+// run is reported but never counted as a regression; a slower one is.
+func TestCompareSnapshotsMissingBenchmarks(t *testing.T) {
+	old := &Snapshot{Results: map[string]Result{
+		"BenchmarkTable1Wait": {NsPerOp: 100, AllocsPerOp: 10},
+		"BenchmarkRetired":    {NsPerOp: 5},
+	}}
+	cur := &Snapshot{Results: map[string]Result{
+		"BenchmarkTable1Wait":  {NsPerOp: 105, AllocsPerOp: 10},
+		"BenchmarkAnalyze1024": {NsPerOp: 40000, AllocsPerOp: 2},
+	}}
+	rows, regressions := compareSnapshots(old, cur, 15)
+	if regressions != 0 {
+		t.Errorf("regressions = %d, want 0: %v", regressions, rows)
+	}
+	if len(rows) != 3 {
+		t.Fatalf("rows = %v, want one per benchmark on either side", rows)
+	}
+	cur.Results["BenchmarkTable1Wait"] = Result{NsPerOp: 200, AllocsPerOp: 10}
+	if _, regressions := compareSnapshots(old, cur, 15); regressions != 1 {
+		t.Errorf("a 2x slowdown counted %d regressions, want 1", regressions)
+	}
+}

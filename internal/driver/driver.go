@@ -209,19 +209,19 @@ var (
 )
 
 // Validate reports whether the options can drive runs whose derived
-// quantities stay finite. Run itself only requires a positive rank
-// count, but layers that build arithmetic on top of run results — the
+// quantities stay finite: a positive rank count and a machine whose
+// network parameters the cost model accepts. BuildPlan and Run call it
+// first, and layers that build arithmetic on top of run results — the
 // campaign redistribution model divides by Bandwidth*Ranks, the
-// ensemble engine aggregates thousands of members — call Validate up
-// front so a zero bandwidth or rank count surfaces as a typed error
-// instead of Inf/NaN in the output.
+// ensemble engine aggregates thousands of members — call it up front,
+// so a zero bandwidth or rank count surfaces as a typed error instead
+// of a panic or Inf/NaN in the output.
 func (o Options) Validate() error {
 	if o.Ranks <= 0 {
 		return fmt.Errorf("%w: ranks=%d", ErrBadRanks, o.Ranks)
 	}
-	if !(o.Machine.Net.Bandwidth > 0) {
-		return fmt.Errorf("%w: %q has torus bandwidth %v", ErrBadMachine,
-			o.Machine.Name, o.Machine.Net.Bandwidth)
+	if err := o.Machine.Net.Validate(); err != nil {
+		return fmt.Errorf("%w: %q: %w", ErrBadMachine, o.Machine.Name, err)
 	}
 	return nil
 }
@@ -301,8 +301,8 @@ func RunWithReport(cfg *nest.Domain, opt Options) (Result, *Report, error) {
 }
 
 func run0(cfg *nest.Domain, opt Options, observe bool) (res Result, rep *Report, err error) {
-	if opt.Ranks <= 0 {
-		return Result{}, nil, ErrBadRanks
+	if err := opt.Validate(); err != nil {
+		return Result{}, nil, err
 	}
 	if err := cfg.Validate(); err != nil {
 		return Result{}, nil, err

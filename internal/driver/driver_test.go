@@ -479,3 +479,32 @@ func TestOptionsValidate(t *testing.T) {
 		t.Errorf("NaN bandwidth: %v", err)
 	}
 }
+
+// An invalid network must surface as ErrBadMachine from both planning
+// entry points, not as a panic from the cost model's network pool.
+func TestInvalidNetworkRejected(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(m *machine.Machine)
+	}{
+		{"zero bandwidth", func(m *machine.Machine) { m.Net.Bandwidth = 0 }},
+		{"zero latency", func(m *machine.Machine) { m.Net.LatencyPerHop = 0 }},
+		{"negative overhead", func(m *machine.Machine) { m.Net.Overhead = -1 }},
+	}
+	cfg := workload.Table2Config()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := bglOpts(Concurrent, MapMultiLevel)
+			tc.mutate(&opt.Machine)
+			if err := opt.Validate(); !errors.Is(err, ErrBadMachine) {
+				t.Errorf("Validate: %v, want ErrBadMachine", err)
+			}
+			if _, err := Run(cfg, opt); !errors.Is(err, ErrBadMachine) {
+				t.Errorf("Run: %v, want ErrBadMachine", err)
+			}
+			if _, err := BuildPlan(cfg, opt); !errors.Is(err, ErrBadMachine) {
+				t.Errorf("BuildPlan: %v, want ErrBadMachine", err)
+			}
+		})
+	}
+}

@@ -133,8 +133,8 @@ func ResetPredictorCache() {
 // returning the reusable Plan value. The caller's Options are never
 // written to.
 func BuildPlan(cfg *nest.Domain, opt Options) (*Plan, error) {
-	if opt.Ranks <= 0 {
-		return nil, ErrBadRanks
+	if err := opt.Validate(); err != nil {
+		return nil, err
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -306,31 +306,6 @@ func serpentineCoord(t torus.Torus, i int) torus.Coord {
 	return torus.Coord{X: x, Y: y, Z: z}
 }
 
-// AvgHops returns the mean torus hop distance over the given rank
-// pairs. It returns 0 for an empty pair list.
-func AvgHops(m *Mapping, pairs [][2]int) float64 {
-	if len(pairs) == 0 {
-		return 0
-	}
-	total := 0
-	for _, p := range pairs {
-		total += m.Hops(p[0], p[1])
-	}
-	return float64(total) / float64(len(pairs))
-}
-
-// MaxHops returns the maximum torus hop distance over the given rank
-// pairs.
-func MaxHops(m *Mapping, pairs [][2]int) int {
-	max := 0
-	for _, p := range pairs {
-		if h := m.Hops(p[0], p[1]); h > max {
-			max = h
-		}
-	}
-	return max
-}
-
 // Report summarizes the communication locality of a mapping for a
 // partitioned run: hop statistics for the parent domain's halo pairs
 // and for each sibling partition's internal halo pairs.
@@ -345,40 +320,70 @@ type Report struct {
 }
 
 // Analyze computes a locality Report for mapping m with the sibling
-// partitions given by rects.
+// partitions given by rects. It visits every rectangle once, the
+// parent's being the whole grid, and accumulates each one's hop sum,
+// maximum and pair count in a single walk; the only allocations are
+// the two per-sibling report slices.
 func Analyze(m *Mapping, rects []alloc.Rect) (Report, error) {
 	rep := Report{Name: m.Name}
-	parentPairs := m.Grid.NeighborPairs()
-	rep.ParentAvg = AvgHops(m, parentPairs)
-	rep.ParentMax = MaxHops(m, parentPairs)
-	total := 0
-	count := 0
-	for _, p := range parentPairs {
-		total += m.Hops(p[0], p[1])
+	if len(rects) > 0 {
+		rep.SiblingAvg = make([]float64, len(rects))
+		rep.SiblingMax = make([]int, len(rects))
 	}
-	count += len(parentPairs)
-
-	for _, rect := range rects {
-		sg, err := vtopo.NewSubgrid(m.Grid, rect)
-		if err != nil {
+	sum, max, pairs := m.rectHops(alloc.Rect{W: m.Grid.Px, H: m.Grid.Py})
+	rep.ParentAvg, rep.ParentMax = meanHops(sum, pairs), max
+	total, count := sum, pairs
+	for i, rect := range rects {
+		if _, err := vtopo.NewSubgrid(m.Grid, rect); err != nil {
 			return Report{}, err
 		}
-		local := sg.Grid()
-		pairs := local.NeighborPairs()
-		global := make([][2]int, len(pairs))
-		for i, p := range pairs {
-			global[i] = [2]int{sg.GlobalRank(p[0]), sg.GlobalRank(p[1])}
-		}
-		rep.SiblingAvg = append(rep.SiblingAvg, AvgHops(m, global))
-		rep.SiblingMax = append(rep.SiblingMax, MaxHops(m, global))
-		for _, p := range global {
-			total += m.Hops(p[0], p[1])
-		}
-		count += len(global)
+		sum, max, pairs := m.rectHops(rect)
+		rep.SiblingAvg[i], rep.SiblingMax[i] = meanHops(sum, pairs), max
+		total += sum
+		count += pairs
 	}
-	if count > 0 {
-		rep.OverallAvg = float64(total) / float64(count)
-	}
+	rep.OverallAvg = meanHops(total, count)
 	rep.OverallPairs = count
 	return rep, nil
+}
+
+// rectHops walks the halo pairs of the grid rectangle r (each rank with
+// its east and north neighbour inside r) and returns their total and
+// maximum torus hop distance and their number. r must lie inside the
+// grid.
+func (m *Mapping) rectHops(r alloc.Rect) (sum, max, pairs int) {
+	px := m.Grid.Px
+	for y := r.Y; y < r.Y+r.H; y++ {
+		row := m.nodeOf[y*px+r.X : y*px+r.X+r.W]
+		var north []torus.Coord
+		if y+1 < r.Y+r.H {
+			north = m.nodeOf[(y+1)*px+r.X : (y+1)*px+r.X+r.W]
+		}
+		for x, c := range row {
+			if x+1 < len(row) {
+				h := m.Torus.Hops(c, row[x+1])
+				sum += h
+				if h > max {
+					max = h
+				}
+			}
+			if north != nil {
+				h := m.Torus.Hops(c, north[x])
+				sum += h
+				if h > max {
+					max = h
+				}
+			}
+		}
+	}
+	return sum, max, (r.W-1)*r.H + r.W*(r.H-1)
+}
+
+// meanHops is the mean of count hop distances summing to sum, or 0 for
+// no pairs.
+func meanHops(sum, count int) float64 {
+	if count == 0 {
+		return 0
+	}
+	return float64(sum) / float64(count)
 }

@@ -50,17 +50,6 @@ type Placement struct {
 	SG vtopo.Subgrid
 }
 
-// haloPairs returns the global-rank neighbour pairs of a placement.
-func haloPairs(p Placement) [][2]int {
-	local := p.SG.Grid()
-	pairs := local.NeighborPairs()
-	out := make([][2]int, len(pairs))
-	for i, pr := range pairs {
-		out[i] = [2]int{p.SG.GlobalRank(pr[0]), p.SG.GlobalRank(pr[1])}
-	}
-	return out
-}
-
 // PhaseCosts computes the StepCost of every placement executing
 // concurrently: link loads from all placements' halo exchanges are
 // accumulated first, then each placement's communication times are
@@ -231,56 +220,79 @@ func evalPhase(m machine.Machine, mp *mapping.Mapping, placements []Placement, c
 }
 
 // addPhaseFlows accumulates the halo-exchange link loads of every
-// placement onto net.
+// placement onto net: each rank of the placement's rectangle exchanges
+// with its east and then its north neighbour inside the rectangle, in
+// row-major order, one message each way.
 func addPhaseFlows(net *netsim.Network, mp *mapping.Mapping, placements []Placement) {
 	for _, p := range placements {
-		for _, pr := range haloPairs(p) {
-			net.AddFlow(mp.NodeOf(pr[0]), mp.NodeOf(pr[1]))
-			net.AddFlow(mp.NodeOf(pr[1]), mp.NodeOf(pr[0]))
+		r, px := p.SG.Rect, p.SG.Parent.Px
+		for y := r.Y; y < r.Y+r.H; y++ {
+			for x := r.X; x < r.X+r.W; x++ {
+				a := mp.NodeOf(y*px + x)
+				if x+1 < r.X+r.W {
+					b := mp.NodeOf(y*px + x + 1)
+					net.AddFlow(a, b)
+					net.AddFlow(b, a)
+				}
+				if y+1 < r.Y+r.H {
+					b := mp.NodeOf((y+1)*px + x)
+					net.AddFlow(a, b)
+					net.AddFlow(b, a)
+				}
+			}
 		}
 	}
 }
 
 // stepCost evaluates one placement under the prepared network loads.
+// Ranks are visited in local rank order (row-major over the placement's
+// rectangle) and each rank's neighbours West, East, South, North, so
+// every floating-point sum accumulates in a fixed order.
 func stepCost(m machine.Machine, mp *mapping.Mapping, net *netsim.Network, p Placement) StepCost {
-	local := p.SG.Grid()
-	w, h := local.Px, local.Py
-	lx := ceilDiv(p.D.NX, w)
-	ly := ceilDiv(p.D.NY, h)
+	r, px := p.SG.Rect, p.SG.Parent.Px
+	lx := ceilDiv(p.D.NX, r.W)
+	ly := ceilDiv(p.D.NY, r.H)
 
 	cost := StepCost{
 		Compute: m.PointCost*float64(lx)*float64(ly) + m.StepOverhead,
-		Ranks:   local.Size(),
+		Ranks:   r.Area(),
 	}
 
 	msgs := float64(m.ExchangesPerStep)
+	// East/west messages carry a column of the tile, north/south a row.
+	ewBytes := int(float64(ly) * m.BytesPerPoint / msgs)
+	nsBytes := int(float64(lx) * m.BytesPerPoint / msgs)
 	var commSum float64
 	var hopSum, hopCnt float64
-	for r := 0; r < local.Size(); r++ {
-		var commR float64
-		src := mp.NodeOf(p.SG.GlobalRank(r))
-		for d := vtopo.West; d <= vtopo.North; d++ {
-			nb := local.Neighbor(r, d)
-			if nb < 0 {
-				continue
+	for y := r.Y; y < r.Y+r.H; y++ {
+		for x := r.X; x < r.X+r.W; x++ {
+			rank := y*px + x
+			src := mp.NodeOf(rank)
+			var commR float64
+			send := func(dst torus.Coord, bytes int) {
+				commR += msgs * net.TransferTime(src, dst, bytes)
+				hopSum += float64(mp.Torus.Hops(src, dst))
+				hopCnt++
 			}
-			dst := mp.NodeOf(p.SG.GlobalRank(nb))
-			edge := ly // east/west messages carry a column of the tile
-			if d == vtopo.South || d == vtopo.North {
-				edge = lx
+			if x > r.X {
+				send(mp.NodeOf(rank-1), ewBytes)
 			}
-			bytes := float64(edge) * m.BytesPerPoint
-			perMsg := bytes / msgs
-			commR += msgs * net.TransferTime(src, dst, int(perMsg))
-			hopSum += float64(mp.Torus.Hops(src, dst))
-			hopCnt++
-		}
-		commSum += commR
-		if commR > cost.CommMax {
-			cost.CommMax = commR
+			if x+1 < r.X+r.W {
+				send(mp.NodeOf(rank+1), ewBytes)
+			}
+			if y > r.Y {
+				send(mp.NodeOf(rank-px), nsBytes)
+			}
+			if y+1 < r.Y+r.H {
+				send(mp.NodeOf(rank+px), nsBytes)
+			}
+			commSum += commR
+			if commR > cost.CommMax {
+				cost.CommMax = commR
+			}
 		}
 	}
-	cost.CommAvg = commSum / float64(local.Size())
+	cost.CommAvg = commSum / float64(cost.Ranks)
 	if hopCnt > 0 {
 		cost.HopsAvg = hopSum / hopCnt
 	}

@@ -1,0 +1,7 @@
+//go:build race
+
+package model
+
+// raceEnabled reports that this build runs under the race detector,
+// whose instrumentation allocates and distorts AllocsPerRun counts.
+const raceEnabled = true

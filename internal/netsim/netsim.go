@@ -39,9 +39,10 @@ type Params struct {
 // ErrBadParams is returned for non-positive network parameters.
 var ErrBadParams = errors.New("netsim: parameters must be positive")
 
-// Validate checks p.
+// Validate checks p: positive latency and bandwidth, non-negative
+// overhead. NaN fails every check.
 func (p Params) Validate() error {
-	if p.LatencyPerHop <= 0 || p.Overhead < 0 || p.Bandwidth <= 0 {
+	if !(p.LatencyPerHop > 0) || !(p.Overhead >= 0) || !(p.Bandwidth > 0) {
 		return fmt.Errorf("%w: %+v", ErrBadParams, p)
 	}
 	return nil

@@ -58,9 +58,13 @@ func (t Torus) CoordOf(i int) Coord {
 
 // wrapDelta returns the signed minimal step count from a to b along a
 // dimension of the given size, preferring the positive direction on
-// ties.
+// ties. It requires 0 <= a, b < size, so one branch folds b-a into
+// [0, size) without a modulo.
 func wrapDelta(a, b, size int) int {
-	d := ((b-a)%size + size) % size
+	d := b - a
+	if d < 0 {
+		d += size
+	}
 	if d*2 > size {
 		return d - size
 	}
@@ -68,17 +72,23 @@ func wrapDelta(a, b, size int) int {
 }
 
 // dimDist returns the minimal hop count between positions a and b on a
-// ring of the given size.
+// ring of the given size, for 0 <= a, b < size: |b-a|, or the way round
+// the ring when that is shorter.
 func dimDist(a, b, size int) int {
-	d := wrapDelta(a, b, size)
+	d := b - a
 	if d < 0 {
-		return -d
+		d = -d
+	}
+	if d*2 > size {
+		return size - d
 	}
 	return d
 }
 
 // Hops returns the minimal number of network hops between two nodes,
-// i.e. the wraparound Manhattan distance.
+// i.e. the wraparound Manhattan distance. Both coordinates must lie
+// inside t (Valid); every mapping constructor guarantees this, and
+// Mapping.Validate checks it.
 func (t Torus) Hops(a, b Coord) int {
 	return dimDist(a.X, b.X, t.X) + dimDist(a.Y, b.Y, t.Y) + dimDist(a.Z, b.Z, t.Z)
 }
@@ -118,41 +128,17 @@ type Link struct {
 
 // Route returns the sequence of directed links of the dimension-ordered
 // (X, then Y, then Z) minimal route from a to b, the deterministic
-// routing used by Blue Gene. An empty route means a == b.
+// routing used by Blue Gene. An empty route (nil) means a == b.
 func (t Torus) Route(a, b Coord) []Link {
-	n := t.Hops(a, b)
-	if n == 0 {
+	idx := t.RouteIndicesInto(a, b, nil)
+	if len(idx) == 0 {
 		return nil
 	}
-	buf := make([]Link, 0, n)
-	cur := a
-	for dim := DimX; dim <= DimZ; dim++ {
-		pos, target, size := routeAxis(cur, b, t, dim)
-		delta := wrapDelta(pos, target, size)
-		dir := int8(1)
-		if delta < 0 {
-			dir = -1
-			delta = -delta
-		}
-		for i := 0; i < delta; i++ {
-			buf = append(buf, Link{From: cur, Dim: dim, Dir: dir})
-			cur = t.Neighbor(cur, dim, dir)
-		}
+	route := make([]Link, len(idx))
+	for i, li := range idx {
+		route[i] = t.LinkAt(li)
 	}
-	return buf
-}
-
-// routeAxis extracts the current position, target position and ring
-// size of one routing dimension.
-func routeAxis(cur, b Coord, t Torus, d Dim) (pos, target, size int) {
-	switch d {
-	case DimX:
-		return cur.X, b.X, t.X
-	case DimY:
-		return cur.Y, b.Y, t.Y
-	default:
-		return cur.Z, b.Z, t.Z
-	}
+	return route
 }
 
 // LinkIndex is the dense linear index of a directed link: every node
@@ -188,42 +174,69 @@ func (t Torus) LinkAt(i LinkIndex) Link {
 
 // RouteIndicesInto appends the dense link indices of the
 // dimension-ordered route from a to b onto buf and returns the
-// extended slice. The network simulator routes every message through
-// it, reusing one buffer, so routing allocates nothing.
+// extended slice. Both coordinates must lie inside t (Valid). The
+// network simulator routes every message through it, reusing one
+// buffer, so routing allocates nothing.
 func (t Torus) RouteIndicesInto(a, b Coord, buf []LinkIndex) []LinkIndex {
-	cur := a
-	curIdx := t.Index(cur)
-	for dim := DimX; dim <= DimZ; dim++ {
-		pos, target, size := routeAxis(cur, b, t, dim)
-		delta := wrapDelta(pos, target, size)
-		dir := int8(1)
-		slot := 2 * int(dim)
-		if delta < 0 {
-			dir = -1
-			delta = -delta
-			slot++
-		}
-		for i := 0; i < delta; i++ {
-			buf = append(buf, LinkIndex(6*curIdx+slot))
-			cur = t.Neighbor(cur, dim, dir)
-			curIdx = t.Index(cur)
-		}
-	}
+	node := t.Index(a)
+	buf, node = appendAxis(buf, node, a.X, b.X, t.X, 1, 2*int(DimX))
+	buf, node = appendAxis(buf, node, a.Y, b.Y, t.Y, t.X, 2*int(DimY))
+	buf, _ = appendAxis(buf, node, a.Z, b.Z, t.Z, t.X*t.Y, 2*int(DimZ))
 	return buf
 }
 
+// appendAxis appends the links of the minimal walk from pos to target
+// on one ring of the given size, starting at dense node index node.
+// stride is the ring's step in the node index and slot the link slot
+// of its positive direction. It returns the extended buffer and the
+// node index the walk ends on.
+func appendAxis(buf []LinkIndex, node, pos, target, size, stride, slot int) ([]LinkIndex, int) {
+	delta := wrapDelta(pos, target, size)
+	seam := size * stride // index jump across the ring's wraparound link
+	if delta >= 0 {
+		for ; delta > 0; delta-- {
+			buf = append(buf, LinkIndex(6*node+slot))
+			node += stride
+			if pos++; pos == size {
+				pos, node = 0, node-seam
+			}
+		}
+		return buf, node
+	}
+	for ; delta < 0; delta++ {
+		buf = append(buf, LinkIndex(6*node+slot+1))
+		node -= stride
+		if pos--; pos < 0 {
+			pos, node = size-1, node+seam
+		}
+	}
+	return buf, node
+}
+
 // Neighbor returns the coordinate one hop from c in dimension d,
-// direction dir (with wraparound).
+// direction dir (+1 or -1), with wraparound. c must lie inside t.
 func (t Torus) Neighbor(c Coord, d Dim, dir int8) Coord {
 	switch d {
 	case DimX:
-		c.X = ((c.X+int(dir))%t.X + t.X) % t.X
+		c.X = step(c.X, int(dir), t.X)
 	case DimY:
-		c.Y = ((c.Y+int(dir))%t.Y + t.Y) % t.Y
+		c.Y = step(c.Y, int(dir), t.Y)
 	case DimZ:
-		c.Z = ((c.Z+int(dir))%t.Z + t.Z) % t.Z
+		c.Z = step(c.Z, int(dir), t.Z)
 	}
 	return c
+}
+
+// step moves pos by dir (+1 or -1) on a ring of the given size.
+func step(pos, dir, size int) int {
+	pos += dir
+	if pos < 0 {
+		return pos + size
+	}
+	if pos >= size {
+		return pos - size
+	}
+	return pos
 }
 
 // LinkCount returns the total number of directed links in the torus.
